@@ -1,13 +1,22 @@
 """Numerical-semigroup arithmetic: membership, representations, Frobenius numbers.
 
-Everything here is a pure function of (value, generator tuple).  Membership
-tables grow on demand and are memoized per generator tuple; the cache is a
-plain dict whose reads and inserts are atomic under the GIL, so concurrent
-scans can share it.
+Everything here is a pure function of (value, generator tuple), answered
+from big-integer bitsets whose bit v stands for the value v:
+
+* membership and the Frobenius number read one shift-or mask, built by
+  ``_member_bits`` in O(len(gens) * log(b)) big-integer operations;
+* representation search keeps one mask per exact coefficient count t, so a
+  witness with coefficient sum t costs O(len(gens) * t) big-integer
+  operations, however large the target.
+
+Membership tables grow on demand and are memoized per generator tuple; the
+cache is a plain dict whose reads and inserts are atomic under the GIL, so
+concurrent scans can share it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
@@ -47,29 +56,50 @@ class Representation:
         return sum(self.coefficients)
 
 
-# membership tables, keyed by generator tuple; grown on demand.  A grown
-# table is always built completely before being published, so concurrent
-# readers only ever see finished snapshots (stale ones at worst).
-_MEMBER_TABLES: dict[tuple[int, ...], bytearray] = {}
+def _check_positive(gens: tuple[int, ...]) -> None:
+    # a generator 0 would keep the bitset loops below from ever terminating
+    if min(gens, default=1) < 1:
+        raise ValueError(f"generators must be positive, got {gens}")
 
 
-def _member_table(gens: tuple[int, ...], upto: int) -> bytearray:
+# membership tables, keyed by generator tuple: the little-endian bytes of
+# the mask from _member_bits, regrown to at least double the size on demand.
+# A grown table is always built completely before being published, so
+# concurrent readers only ever see finished snapshots (stale ones at worst).
+_MEMBER_TABLES: dict[tuple[int, ...], bytes] = {}
+
+
+def _member_bits(gens: tuple[int, ...], nbits: int) -> int:
+    """Bitmask integer with bit v set iff v is in the semigroup, v < nbits.
+
+    Shift-or closure: after OR-ing in the mask shifted by g, 2g, 4g, ...,
+    the set is closed under adding any multiple of g below nbits.
+    """
+    _check_positive(gens)
+    full = (1 << nbits) - 1
+    mask = 1
+    for g in gens:
+        shift = g
+        while shift < nbits:
+            mask |= (mask << shift) & full
+            shift <<= 1
+    return mask
+
+
+def _member_bytes(gens: tuple[int, ...], nbytes: int) -> bytes:
+    """The membership mask of values below 8 * nbytes, as little-endian bytes."""
+    return _member_bits(gens, 8 * nbytes).to_bytes(nbytes, "little")
+
+
+def _member_table(gens: tuple[int, ...], upto: int) -> bytes:
     table = _MEMBER_TABLES.get(gens)
-    if table is not None and len(table) > upto:
+    need = (upto >> 3) + 1
+    if table is not None and len(table) >= need:
         return table
     old_len = len(table) if table is not None else 0
-    size = max(upto + 1, 2 * old_len, 16)
-    new = bytearray(size)
-    if table is not None:
-        new[:old_len] = table
-    new[0] = 1
-    for v in range(max(old_len, 1), size):
-        for g in gens:
-            if g <= v and new[v - g]:
-                new[v] = 1
-                break
-    _MEMBER_TABLES[gens] = new
-    return new
+    table = _member_bytes(gens, max(need, 2 * old_len))
+    _MEMBER_TABLES[gens] = table
+    return table
 
 
 def is_member(b: int, gens: GensLike) -> bool:
@@ -78,70 +108,44 @@ def is_member(b: int, gens: GensLike) -> bool:
         raise ValueError(f"membership target must be non-negative, got {b}")
     if b == 0:
         return True
-    return _member_table(_entries(gens), b)[b] == 1
+    return bool(_member_table(_entries(gens), b)[b >> 3] >> (b & 7) & 1)
 
 
-def _min_coefficient_sum(b: int, gens: tuple[int, ...]) -> int | None:
-    """Fewest generators (with repetition) summing to b; None if not a member."""
-    INF = b + 2
-    dp = [INF] * (b + 1)
-    dp[0] = 0
-    for v in range(1, b + 1):
-        best = INF
-        for g in gens:
-            if g <= v and dp[v - g] + 1 < best:
-                best = dp[v - g] + 1
-        dp[v] = best
-    return None if dp[b] >= INF else dp[b]
+def _count_layers(b: int, gens: tuple[int, ...]):
+    """Yield layer t = 0, 1, ...: layer[i] holds, as a bitmask over 0..b,
+    the values that are sums of exactly t entries of gens[i:].
 
-
-def _lex_smallest_with_sum(
-    b: int, gens: tuple[int, ...], total: int
-) -> tuple[int, ...] | None:
-    """Lexicographically smallest coefficient vector with exact coefficient sum.
-
-    feas[i][v] is a bitmask whose bit t is set iff value v is representable
-    over gens[i:] using exactly t generators.  Reconstruction then greedily
-    minimizes each coefficient from the left.
+    layer[len(gens)] is the empty tail; each layer costs len(gens) big-int
+    operations, via R_i[t] = R_{i+1}[t] | (R_i[t-1] << g_i).
     """
-    if total < 0:
-        return None
+    _check_positive(gens)
     n = len(gens)
-    full = (1 << (total + 1)) - 1
-    nxt = [0] * (b + 1)
-    nxt[0] = 1
-    rows: list[list[int]] = [nxt]
-    for i in range(n - 1, -1, -1):
-        g = gens[i]
-        row = [0] * (b + 1)
-        for v in range(b + 1):
-            acc = 0
-            vv = v
-            t = 0
-            while vv >= 0 and t <= total:
-                acc |= nxt[vv] << t
-                vv -= g
-                t += 1
-            row[v] = acc & full
-        rows.append(row)
-        nxt = row
-    rows.reverse()  # rows[i] now serves gens[i:]
-    if not (rows[0][b] >> total) & 1:
-        return None
+    full = (1 << (b + 1)) - 1
+    layer = [1] * (n + 1)
+    while True:
+        yield layer
+        prev = layer
+        layer = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            layer[i] = layer[i + 1] | ((prev[i] << gens[i]) & full)
+
+
+def _lex_smallest(
+    b: int, gens: tuple[int, ...], layers: list[list[int]]
+) -> tuple[int, ...]:
+    """Greedy reconstruction, minimizing each coefficient from the left.
+
+    Requires bit b of layers[-1][0], i.e. b is a sum of exactly
+    len(layers) - 1 generators.
+    """
     coeffs = []
-    v, s = b, total
-    for i in range(n):
-        g = gens[i]
-        for t in range(s + 1):
-            rem = v - t * g
-            if rem < 0:
-                break
-            if (rows[i + 1][rem] >> (s - t)) & 1:
-                coeffs.append(t)
-                v, s = rem, s - t
-                break
-        else:
-            return None  # unreachable if the feasibility test passed
+    v, s = b, len(layers) - 1
+    for i, g in enumerate(gens):
+        t = 0
+        while not layers[s - t][i + 1] >> (v - t * g) & 1:
+            t += 1
+        coeffs.append(t)
+        v, s = v - t * g, s - t
     return tuple(coeffs)
 
 
@@ -154,53 +158,46 @@ def find_representation(b: int, gens: GensLike) -> Representation | None:
     if b < 0:
         raise ValueError(f"representation target must be non-negative, got {b}")
     entries = _entries(gens)
-    total = _min_coefficient_sum(b, entries)
-    if total is None:
-        return None
-    coeffs = _lex_smallest_with_sum(b, entries, total)
-    assert coeffs is not None
-    return Representation(coeffs, b, entries)
+    layers = []
+    for layer in _count_layers(b, entries):
+        layers.append(layer)
+        if layer[0] >> b & 1:
+            return Representation(_lex_smallest(b, entries, layers), b, entries)
+        if not layer[0]:
+            return None  # t entries already exceed b, and so will more
 
 
 def find_representation_with_sum(
     b: int, gens: GensLike, total: int
 ) -> Representation | None:
-    """A representation of b whose coefficients sum to exactly `total`."""
+    """A representation of b whose coefficients sum to exactly `total`.
+
+    Ties are broken by the lexicographically smallest coefficient vector.
+    """
     if b < 0:
         raise ValueError(f"representation target must be non-negative, got {b}")
-    entries = _entries(gens)
-    coeffs = _lex_smallest_with_sum(b, entries, total)
-    if coeffs is None:
+    if total < 0:
         return None
-    return Representation(coeffs, b, entries)
+    entries = _entries(gens)
+    layers = list(itertools.islice(_count_layers(b, entries), total + 1))
+    if not layers[-1][0] >> b & 1:
+        return None
+    return Representation(_lex_smallest(b, entries, layers), b, entries)
 
 
 def frobenius(gens: GensLike) -> int:
     """Largest integer outside the semigroup; -1 when 1 is a generator.
 
-    Detected as the value just below the first run of min(gens) consecutive
-    members, after which every larger integer is reachable by adding the
-    smallest generator.
+    Read off as the highest zero bit of the membership mask below the
+    Schur-type bound min*max + min + 1, which the complement never reaches.
     """
     entries = _entries(gens)
-    d = 0
-    for g in entries:
-        d = gcd(d, g)
+    d = gcd(*entries)
     if d != 1:
         raise ValueError(f"frobenius number undefined: gcd({entries}) = {d}")
-    g0 = entries[0]
-    # Schur-type bound: the complement never reaches min*max
-    hard_stop = g0 * entries[-1] + g0 + 1
-    table = _member_table(entries, hard_stop)
-    run = 0
-    for v in range(hard_stop + 1):
-        if table[v]:
-            run += 1
-            if run == g0:
-                return v - g0
-        else:
-            run = 0
-    raise AssertionError(f"no member run found below {hard_stop} for {entries}")
+    lo = min(entries)
+    nbits = lo * max(entries) + lo + 2
+    return (~_member_bits(entries, nbits) & ((1 << nbits) - 1)).bit_length() - 1
 
 
 def divisors(n: int) -> tuple[int, ...]:

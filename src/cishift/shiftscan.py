@@ -113,7 +113,11 @@ class N2Witness:
 
 @dataclass(frozen=True)
 class N3Witness:
-    """Solution data for the n = 3 closed-form test at one shift."""
+    """Solution data for the n = 3 closed-form test at one shift.
+
+    m = j / c when c divides j, else None (an off-period CI shift of a base
+    whose entries share a factor).
+    """
 
     a: int
     b: int
@@ -121,7 +125,7 @@ class N3Witness:
     j: int
     s: int
     k: int
-    m: int
+    m: int | None
     alpha: int
     beta: int
     gamma: int
@@ -143,7 +147,8 @@ def ci_at(base: BaseSequence, j: int) -> CICertificate | None:
 
 
 def _scan_cost(base: BaseSequence, j_from: int, j_to: int) -> int:
-    return (j_to - j_from + 1) * (2 ** (base.n + 1)) * j_to
+    """Shifts times bipartitions times the 64-bit words of one membership mask."""
+    return (j_to - j_from + 1) * (2 ** (base.n + 1)) * (j_to // 64 + 1)
 
 
 def scan(
@@ -273,7 +278,8 @@ def n3_criterion(a: int, b: int, c: int, j: int) -> N3Witness | None:
     k*a = beta*b + gamma*c, or removing j+b against k | gcd(a, c) with
     k*b = beta*a + gamma*c, always with k | j, beta + gamma <= k, the
     cofactor conditions, and the scaled remainder recursively CI through
-    the n = 2 test.  The witness's m is j // c.
+    the n = 2 test.  The witness's m is j / c, or None when c does not
+    divide j.
     """
     if not 0 < a < b < c:
         raise ValueError(f"need 0 < a < b < c, got {(a, b, c)}")
@@ -301,7 +307,8 @@ def n3_criterion(a: int, b: int, c: int, j: int) -> N3Witness | None:
                 if not rest_ci:
                     continue
                 alpha, beta, gamma = (kp * coeff for coeff in rep.coefficients)
-                return N3Witness(a, b, c, j, s, k, j // c, alpha, beta, gamma)
+                m = None if j % c else j // c
+                return N3Witness(a, b, c, j, s, k, m, alpha, beta, gamma)
     return None
 
 

@@ -12,9 +12,9 @@ Two interchangeable engines compute the per-degree component counts:
   generators g with b - g in the semigroup, with an edge g ~ h whenever
   b - g - h is in the semigroup.  Factorizations containing g form a clique,
   and two cliques meet exactly when such an edge exists, so both graphs have
-  the same component count.  Membership comes from a bitmask table, and for
-  up to five generators all degrees are resolved at once through numpy and
-  a precomputed component-count lookup table.
+  the same component count.  Membership comes from the bitmask of the
+  semigroup module, and for up to five generators all degrees are resolved
+  at once through numpy and a precomputed component-count lookup table.
 * "enumerate" lists every factorization per degree (depth-first, subject to
   a cap) and unions them coordinate by coordinate, exactly mirroring the
   definition.  It exists as the slow reference path.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundTooSmallError, CapExceededError
-from .semigroup import GensLike, _entries
+from .semigroup import GensLike, _entries, _member_bytes, frobenius
 from .seqcore import GeneratorSequence, normalize
 
 DEFAULT_FACTORIZATION_CAP = 50_000
@@ -130,21 +130,8 @@ def graph_components(fset: FactorizationSet) -> int:
     return len({uf.find(i) for i in range(len(fset.vectors))})
 
 
-def _member_mask(gens: tuple[int, ...], nbits: int) -> int:
-    """Bitmask integer with bit v set iff v is in the semigroup, v < nbits."""
-    full = (1 << nbits) - 1
-    mask = 1
-    for g in gens:
-        shift = g
-        while shift < nbits:
-            mask |= (mask << shift) & full
-            shift <<= 1
-    return mask
-
-
 def _member_array(gens: tuple[int, ...], length: int):
-    mask = _member_mask(gens, length)
-    raw = np.frombuffer(mask.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
+    raw = np.frombuffer(_member_bytes(gens, (length + 7) // 8), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[:length].astype(bool)
 
 
@@ -212,11 +199,6 @@ def _counts_graph_python(gens: tuple[int, ...], mem, upto: int) -> list[int]:
     return contrib
 
 
-def _frobenius_from_mem(mem) -> int:
-    gaps = np.flatnonzero(~np.asarray(mem, dtype=bool))
-    return int(gaps[-1]) if gaps.size else -1
-
-
 def betti_profile(
     gens: GensLike,
     bound: int | None = None,
@@ -243,15 +225,12 @@ def betti_profile(
         B = bound if bound is not None else entries[-1]
         return BettiProfile(entries, B, (), 0)
 
-    hard = rgens[0] * gmax + rgens[0] + 2
-    mem = _member_array(rgens, hard)
     if bound is None:
-        B = _frobenius_from_mem(mem) + 2 * gmax
+        B = frobenius(rgens) + 2 * gmax
     else:
         B = bound // d
     upto = B + gmax  # guard window (B, B + gmax]
-    if upto + 1 > hard:
-        mem = _member_array(rgens, upto + 1)
+    mem = _member_array(rgens, upto + 1)
 
     if engine == "graph":
         if len(rgens) <= _TABLE_MAX_GENS:

@@ -1,8 +1,14 @@
+import hashlib
 import itertools
 from functools import lru_cache
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cishift import semigroup
+from cishift.delorme import certificate_to_json, is_complete_intersection
 from cishift.semigroup import (
     divisors,
     find_representation,
@@ -10,6 +16,7 @@ from cishift.semigroup import (
     frobenius,
     is_member,
 )
+from cishift.seqcore import GeneratorSequence
 
 
 @lru_cache(maxsize=None)
@@ -32,6 +39,79 @@ def all_representations(b, gens):
             yield (c,) + rest
 
 
+def reachable(upto, gens):
+    """reach[v] iff v is a sum of generators, by one pass over 0..upto."""
+    reach = [True] + [False] * upto
+    for v in range(1, upto + 1):
+        reach[v] = any(g <= v and reach[v - g] for g in gens)
+    return reach
+
+
+gen_tuples = st.lists(
+    st.integers(1, 40), min_size=1, max_size=4, unique=True
+).map(lambda xs: tuple(sorted(xs)))
+
+
+class TestBitsetProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(gen_tuples, st.lists(st.integers(0, 2000), min_size=1, max_size=12))
+    def test_member_matches_reachability(self, gens, queries):
+        # a fresh table, then queries in any order: each large query regrows
+        # the table, each later small one reads the grown table
+        semigroup._MEMBER_TABLES.pop(gens, None)
+        reach = reachable(max(queries), gens)
+        for b in queries:
+            assert is_member(b, gens) == reach[b], (b, gens)
+
+    @settings(max_examples=150, deadline=None)
+    @given(gen_tuples, st.integers(0, 60))
+    def test_representation_minimal_then_lex_smallest(self, gens, b):
+        reps = list(all_representations(b, gens))
+        rep = find_representation(b, gens)
+        if not reps:
+            assert rep is None
+            return
+        best = min(sum(v) for v in reps)
+        assert rep is not None and rep.is_valid()
+        assert rep.coefficients == min(v for v in reps if sum(v) == best)
+
+    @settings(max_examples=150, deadline=None)
+    @given(gen_tuples, st.integers(0, 60), st.integers(-1, 15))
+    def test_representation_with_sum(self, gens, b, total):
+        matching = [v for v in all_representations(b, gens) if sum(v) == total]
+        rep = find_representation_with_sum(b, gens, total)
+        if not matching:
+            assert rep is None
+        else:
+            assert rep is not None and rep.coefficients == min(matching)
+
+    @settings(max_examples=150, deadline=None)
+    @given(gen_tuples.filter(lambda g: gcd(*g) == 1))
+    def test_frobenius_is_last_gap(self, gens):
+        reach = reachable(gens[0] * gens[-1], gens)
+        gaps = [v for v, ok in enumerate(reach) if not ok]
+        assert frobenius(gens) == (gaps[-1] if gaps else -1)
+
+
+class TestCertificateGolden:
+    # SHA-256 of the certificate JSON ("null" when not CI), one line per
+    # gcd-1 sequence of length 3 or 4 on 1..18.  The witnesses inside come
+    # from find_representation, so a change in which representation it
+    # picks shows here.
+    DIGEST = "9dc6cc26a8665eb651204f7cbca1318ebf44b7d0606b670e01acd8a400569c77"
+
+    def test_certificates_unchanged(self):
+        digest = hashlib.sha256()
+        for n in (3, 4):
+            for comb in itertools.combinations(range(1, 19), n):
+                if gcd(*comb) != 1:
+                    continue
+                cert = is_complete_intersection(GeneratorSequence(comb))
+                text = "null" if cert is None else certificate_to_json(cert)
+                digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestMembership:
     @pytest.mark.parametrize(
         "b, gens, expected",
@@ -43,6 +123,15 @@ class TestMembership:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             is_member(-1, (2, 3))
+
+    def test_nonpositive_generators_rejected(self):
+        for gens in [(0, 3), (-2, 5)]:
+            with pytest.raises(ValueError):
+                is_member(7, gens)
+            with pytest.raises(ValueError):
+                find_representation(7, gens)
+            with pytest.raises(ValueError):
+                find_representation_with_sum(7, gens, 2)
 
     def test_matches_naive_enumeration(self):
         gen_sets = [

@@ -51,6 +51,11 @@ class TestScan:
         with pytest.raises(WindowTooLargeError):
             scan(BaseSequence((1, 2)), 1, 50, budget=10)
 
+    def test_default_budget_admits_large_shifts(self):
+        # the cost counts 64-bit words of a membership mask, not values
+        result = scan(BaseSequence((11, 16, 28)), 100_001, 100_056)
+        assert result.members == (100_016, 100_044)
+
     def test_jobs_deterministic(self):
         base = BaseSequence((3, 5, 9))
         seq = scan(base, 80, 180)
@@ -157,6 +162,14 @@ class TestN3Criterion:
     def test_non_multiple_rejected(self):
         assert n3_criterion(11, 16, 28, 812 + 1) is None
 
+    def test_off_period_witness_has_no_m(self):
+        # (3, 6, 12) is CI at j = 148 = 12·12 + 4; m = j / c exists only at
+        # multiples of c
+        w = n3_criterion(3, 6, 12, 148)
+        assert w is not None and w.m is None
+        assert (w.s, w.k) == (1, 2)
+        assert n3_criterion(3, 6, 12, 156).m == 13
+
     def test_precondition(self):
         with pytest.raises(ValueError):
             n3_criterion(11, 16, 28, 784)
@@ -175,6 +188,27 @@ class TestN3Criterion:
                         present = n3_criterion(a, b, c, j) is not None
                         actual = ci_at(BaseSequence((a, b, c)), j) is not None
                         assert present == actual, (a, b, c, j)
+
+
+class TestLargeShifts:
+    @pytest.mark.parametrize("base", [(11, 16, 28), (3, 8, 20), (4, 18)])
+    def test_closed_forms_agree_at_one_million(self, base):
+        # membership and witness search cost must not grow with j for this to
+        # stay fast: the window (J, J + 2an] at J = 1e6
+        family = BaseSequence(base)
+        J = 10 ** 6
+        members = []
+        for j in range(J + 1, J + 2 * base[-1] + 1):
+            actual = ci_at(family, j) is not None
+            if len(base) == 2:
+                witness = n2_criterion(*base, j)
+            else:
+                witness = n3_criterion(*base, j)
+            assert (witness is not None) == actual, (base, j)
+            if actual:
+                members.append(j)
+        if base == (11, 16, 28):
+            assert members == [j for j in range(J + 1, J + 57) if j % 28 == 0]
 
 
 class TestMainTheoremWitness:
