@@ -151,8 +151,7 @@ def cmd_report(cfg: RunConfig) -> int:
 
 def cmd_oracle(cfg: RunConfig) -> int:
     seq = GeneratorSequence(cfg.sequence)
-    cap = cfg.cap if cfg.cap is not None else toricoracle.DEFAULT_FACTORIZATION_CAP
-    profile = toricoracle.betti_profile(seq, cfg.bound, cap=cap)
+    profile = toricoracle.betti_profile(seq, cfg.bound)
     if cfg.fmt == "json":
         _print_json(toricoracle.profile_to_dict(profile))
     elif cfg.fmt == "csv":
@@ -170,16 +169,10 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     seq = GeneratorSequence(cfg.sequence)
-    cap = cfg.cap if cfg.cap is not None else toricoracle.DEFAULT_FACTORIZATION_CAP
     cert = delorme.is_complete_intersection(seq)
     criterion_ci = cert is not None
-    if len(seq) <= 2:
-        mu = len(seq) - 1
-        oracle_ci = True
-    else:
-        profile = toricoracle.betti_profile(seq, cfg.bound, cap=cap)
-        mu = profile.mu
-        oracle_ci = mu == len(seq) - 1
+    mu = toricoracle.betti_profile(seq, cfg.bound).mu
+    oracle_ci = mu == len(seq) - 1
     agree = criterion_ci == oracle_ci
     if cfg.fmt == "json":
         _print_json({
@@ -395,41 +388,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--cap", type=int, default=None,
-                       help="cost budget (scan/report) or factorization cap (oracle/compare)")
+
+    def add_scan_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--cap", type=int, default=None, help="cost budget")
         p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("analyze", help="decide CI for one generator sequence")
     p.add_argument("sequence", help="comma-separated generators, e.g. 28,31,36,48")
-    add_common(p)
+    add_format(p)
 
     p = sub.add_parser("scan", help="list CI members of a shift window")
     p.add_argument("base", help="comma-separated base differences, e.g. 11,16,28")
     p.add_argument("j_from", type=int)
     p.add_argument("j_to", type=int)
-    add_common(p)
+    add_format(p)
+    add_scan_options(p)
 
     p = sub.add_parser("report", help="eventual-periodicity report for a base")
     p.add_argument("base")
     p.add_argument("--threshold", type=int, default=None,
                    help="override the default a_n^2 window start")
-    add_common(p)
+    add_format(p)
+    add_scan_options(p)
 
     p = sub.add_parser("oracle", help="factorization-graph generator counts")
     p.add_argument("sequence")
     p.add_argument("--bound", type=int, default=None)
-    add_common(p)
+    add_format(p)
 
     p = sub.add_parser("compare", help="criterion vs oracle on one sequence")
     p.add_argument("sequence")
     p.add_argument("--bound", type=int, default=None)
-    add_common(p)
+    add_format(p)
 
     p = sub.add_parser("verify-paper", help="run the worked-example fixture suite")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_common(p)
+    add_format(p)
 
     return parser
 

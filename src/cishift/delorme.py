@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 from .semigroup import (
     Representation,
@@ -67,20 +67,13 @@ def _iter_bipartitions(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...
         yield left, right
 
 
-def _gcd_of(values: Sequence[int]) -> int:
-    d = 0
-    for v in values:
-        d = gcd(d, v)
-    return d
-
-
 def _iter_splits(entries: tuple[int, ...]) -> Iterator[DelormeSplit]:
     """All valid splits in canonical order: left bitmask asc, k1 desc, k2 desc."""
     for left, right in _iter_bipartitions(len(entries)):
         left_vals = tuple(entries[i] for i in left)
         right_vals = tuple(entries[i] for i in right)
-        gl = _gcd_of(left_vals)
-        gr = _gcd_of(right_vals)
+        gl = gcd(*left_vals)
+        gr = gcd(*right_vals)
         for k1 in reversed(divisors(gl)):
             left_red = tuple(v // k1 for v in left_vals)
             for k2 in reversed(divisors(gr)):

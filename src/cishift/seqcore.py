@@ -75,9 +75,7 @@ def normalize(seq: GeneratorSequence) -> tuple[int, GeneratorSequence]:
     Scaling all generators by a constant does not change the defining
     toric ideal, so every criterion works on the reduced sequence.
     """
-    d = 0
-    for g in seq.gens:
-        d = gcd(d, g)
+    d = gcd(*seq.gens)
     if d == 1:
         return 1, seq
     return d, GeneratorSequence(tuple(g // d for g in seq.gens))

@@ -162,6 +162,8 @@ def scan(
     """Exact CI membership over a shift window; refuses oversized windows."""
     if not 1 <= j_from <= j_to:
         raise ValueError(f"bad scan window [{j_from}, {j_to}]")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     limit = DEFAULT_SCAN_BUDGET if budget is None else budget
     cost = _scan_cost(base, j_from, j_to)
     if cost > limit:
@@ -365,9 +367,7 @@ def main_theorem_witness(
         return None
     if j % an:
         return None
-    kprime = 0
-    for entry in base.entries:
-        kprime = gcd(kprime, entry)
+    kprime = gcd(*base.entries)
     a_s = base.entries[anatomy.s - 1]
     if (j + a_s) // kprime != anatomy.singleton_value:
         return None
@@ -397,9 +397,7 @@ def converse_predicate(base: BaseSequence) -> bool:
     entries = base.entries
     for i in range(base.n - 1):
         tail = entries[i + 1:]
-        k_next = 0
-        for v in tail:
-            k_next = gcd(k_next, v)
+        k_next = gcd(*tail)
         if not is_member(k_next * entries[i], tail):
             return False
     return True

@@ -12,9 +12,9 @@ Two interchangeable engines compute the per-degree component counts:
   generators g with b - g in the semigroup, with an edge g ~ h whenever
   b - g - h is in the semigroup.  Factorizations containing g form a clique,
   and two cliques meet exactly when such an edge exists, so both graphs have
-  the same component count.  Membership comes from the bitmask of the
-  semigroup module, and for up to five generators all degrees are resolved
-  at once through numpy and a precomputed component-count lookup table.
+  the same component count.  It reads the big-integer membership mask of
+  the semigroup module, shifted by g and by g + h, and closes the graphs of
+  all degrees at once, in len(gens)^3 big-integer operations.
 * "enumerate" lists every factorization per degree (depth-first, subject to
   a cap) and unions them coordinate by coordinate, exactly mirroring the
   definition.  It exists as the slow reference path.
@@ -22,20 +22,18 @@ Two interchangeable engines compute the per-degree component counts:
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BoundTooSmallError, CapExceededError
-from .semigroup import GensLike, _entries, _member_bytes, frobenius
+from .semigroup import GensLike, _entries, _member_bits, frobenius
 from .seqcore import GeneratorSequence, normalize
 
 DEFAULT_FACTORIZATION_CAP = 50_000
 
-# component-count lookup tables go up to this many generators
-_TABLE_MAX_GENS = 5
+# betti_profile refuses inputs whose len(gens)^2 masks, sized by the degree
+# bound, would hold more bits than this (the reach masks take about as many)
+MAX_ORACLE_BITS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -130,73 +128,41 @@ def graph_components(fset: FactorizationSet) -> int:
     return len({uf.find(i) for i in range(len(fset.vectors))})
 
 
-def _member_array(gens: tuple[int, ...], length: int):
-    raw = np.frombuffer(_member_bytes(gens, (length + 7) // 8), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:length].astype(bool)
+def _disconnected_degrees(gens: tuple[int, ...], upto: int) -> dict[int, int]:
+    """{degree: components - 1} for every degree 1..upto with a disconnected graph.
 
-
-_COMP_TABLES: dict[int, np.ndarray] = {}
-
-
-def _component_table(nv: int) -> np.ndarray:
-    """table[vmask << E | emask] = components of the graph it encodes."""
-    table = _COMP_TABLES.get(nv)
-    if table is not None:
-        return table
-    pairs = list(itertools.combinations(range(nv), 2))
-    E = len(pairs)
-    table = np.zeros(1 << (nv + E), dtype=np.uint8)
-    for vmask in range(1 << nv):
-        verts = [i for i in range(nv) if vmask >> i & 1]
-        base = vmask << E
-        for emask in range(1 << E):
-            uf = _UnionFind(nv)
-            for bit, (i, j) in enumerate(pairs):
-                if emask >> bit & 1 and vmask >> i & 1 and vmask >> j & 1:
-                    uf.union(i, j)
-            table[base | emask] = len({uf.find(i) for i in verts})
-    _COMP_TABLES[nv] = table
-    return table
-
-
-def _counts_graph_numpy(gens: tuple[int, ...], mem, upto: int) -> np.ndarray:
-    """(components - 1) per member degree 0..upto, vectorized via the table."""
-    n = len(gens)
-    pairs = list(itertools.combinations(range(n), 2))
-    E = len(pairs)
-    L = upto + 1
-    code = np.zeros(L, dtype=np.int64)
-    for i, g in enumerate(gens):
-        v = np.zeros(L, dtype=bool)
-        if g < L:
-            v[g:] = mem[: L - g]
-        code |= v.astype(np.int64) << (E + i)
-    for bit, (i, j) in enumerate(pairs):
-        s = gens[i] + gens[j]
-        if s < L:
-            e = np.zeros(L, dtype=bool)
-            e[s:] = mem[: L - s]
-            code |= e.astype(np.int64) << bit
-    comps = _component_table(n)[code].astype(np.int64)
-    contrib = np.where(mem[:L], comps - 1, 0)
-    contrib[0] = 0
-    return contrib
-
-
-def _counts_graph_python(gens: tuple[int, ...], mem, upto: int) -> list[int]:
-    n = len(gens)
-    contrib = [0] * (upto + 1)
-    for b in range(1, upto + 1):
-        if not mem[b]:
-            continue
-        verts = [i for i in range(n) if b >= gens[i] and mem[b - gens[i]]]
-        uf = _UnionFind(n)
-        for i, j in itertools.combinations(verts, 2):
-            r = b - gens[i] - gens[j]
-            if r >= 0 and mem[r]:
-                uf.union(i, j)
-        contrib[b] = len({uf.find(i) for i in verts}) - 1
-    return contrib
+    Bit b of reach[i][j] says whether generators i and j are joined at
+    degree b (bit b of reach[i][i]: whether i is a vertex there), so one
+    boolean Floyd-Warshall over these n x n masks closes the graphs of all
+    degrees at once.  Each component is counted at its smallest vertex.
+    """
+    full = (1 << (upto + 1)) - 1
+    mask = _member_bits(gens, upto + 1)
+    reach = [
+        [(mask << (gi if i == j else gi + gj)) & full for j, gj in enumerate(gens)]
+        for i, gi in enumerate(gens)
+    ]
+    for k, row_k in enumerate(reach):
+        for i, row_i in enumerate(reach):
+            via = row_i[k]
+            if via:
+                reach[i] = [x | (via & y) for x, y in zip(row_i, row_k)]
+    firsts = []
+    ones = twos = 0  # degrees with at least one / two components
+    for i, row in enumerate(reach):
+        joined = 0
+        for x in row[:i]:
+            joined |= x
+        first = row[i] & ~joined
+        firsts.append(first)
+        twos |= ones & first
+        ones |= first
+    out = {}
+    while twos:
+        b = twos.bit_length() - 1
+        twos ^= 1 << b
+        out[b] = sum(first >> b & 1 for first in firsts) - 1
+    return out
 
 
 def betti_profile(
@@ -211,7 +177,8 @@ def betti_profile(
     The default bound is frobenius + 2*max over the gcd-normalized sequence.
     A window of one extra max(gens) stretch past the bound must contain no
     disconnected degree, otherwise BoundTooSmallError is raised; this keeps
-    an undersized bound from silently undercounting mu.
+    an undersized bound from silently undercounting mu.  Inputs whose masks
+    would exceed MAX_ORACLE_BITS raise CapExceededError up front.
     """
     entries = _entries(gens)
     d, reduced = normalize(GeneratorSequence(entries))
@@ -225,45 +192,47 @@ def betti_profile(
         B = bound if bound is not None else entries[-1]
         return BettiProfile(entries, B, (), 0)
 
+    # size check before any mask is built; frobenius < min * max bounds B
+    B = rgens[0] * gmax + 2 * gmax if bound is None else bound // d
+    bits = len(rgens) ** 2 * (B + gmax)
+    if bits > MAX_ORACLE_BITS:
+        raise CapExceededError(
+            f"oracle for {entries} needs about {bits} mask bits, "
+            f"more than {MAX_ORACLE_BITS}"
+        )
+
     if bound is None:
         B = frobenius(rgens) + 2 * gmax
-    else:
-        B = bound // d
     upto = B + gmax  # guard window (B, B + gmax]
-    mem = _member_array(rgens, upto + 1)
 
     if engine == "graph":
-        if len(rgens) <= _TABLE_MAX_GENS:
-            contrib = _counts_graph_numpy(rgens, mem, upto)
-        else:
-            contrib = _counts_graph_python(rgens, mem, upto)
+        disconnected = _disconnected_degrees(rgens, upto)
     elif engine == "enumerate":
-        contrib = [0] * (upto + 1)
+        disconnected = {}
         for b in range(1, upto + 1):
             fset = factorizations(b, rgens, cap)
-            if len(fset) >= 2:
-                contrib[b] = graph_components(fset) - 1
+            comps = graph_components(fset) if len(fset) >= 2 else 1
+            if comps > 1:
+                disconnected[b] = comps - 1
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
-    for b in range(B + 1, upto + 1):
-        if contrib[b] > 0:
-            raise BoundTooSmallError(
-                f"disconnected degree {b * d} beyond bound {B * d} for {entries}"
-            )
-    counts = tuple(
-        (b * d, int(contrib[b])) for b in range(1, B + 1) if contrib[b] > 0
-    )
+    beyond = [b for b in disconnected if b > B]
+    if beyond:
+        raise BoundTooSmallError(
+            f"disconnected degree {min(beyond) * d} beyond bound {B * d} for {entries}"
+        )
+    counts = tuple(sorted((b * d, c) for b, c in disconnected.items()))
     mu = sum(c for _, c in counts)
     return BettiProfile(entries, B * d, counts, mu)
 
 
-def is_ci_oracle(gens: GensLike, *, cap: int = DEFAULT_FACTORIZATION_CAP) -> bool:
+def is_ci_oracle(gens: GensLike) -> bool:
     """Complete intersection iff mu equals (number of generators) - 1."""
     entries = _entries(gens)
     if len(entries) <= 2:
         return True
-    profile = betti_profile(entries, cap=cap)
+    profile = betti_profile(entries)
     return profile.mu == len(entries) - 1
 
 

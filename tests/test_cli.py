@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -71,6 +72,14 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "11,16,28", "785", "841", "--jobs", "3")
         assert code == 0 and "812" in out
 
+    @pytest.mark.parametrize("command", [["scan", "11,16,28", "785", "841"],
+                                         ["report", "11,16,28"]])
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_nonpositive_jobs_exit_two(self, capsys, command, jobs):
+        code, _, err = run(capsys, *command, "--jobs", jobs)
+        assert code == 2
+        assert "jobs" in err
+
 
 class TestReport:
     def test_family(self, capsys):
@@ -108,6 +117,26 @@ class TestOracle:
     def test_guard_failure_exit_three(self, capsys):
         code, _, err = run(capsys, "oracle", "2,3", "--bound", "4")
         assert code == 3
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_hostile_oracle_input_exits_three_fast(capsys, command):
+    # the Frobenius mask of this pair alone would take 1.25 GB
+    start = time.perf_counter()
+    code, _, err = run(capsys, command, "100000,100001")
+    assert code == 3
+    assert "oracle" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "3,4,5"], ["oracle", "3,4,5"], ["compare", "3,4,5"], ["verify-paper"],
+])
+@pytest.mark.parametrize("flag", ["--cap", "--jobs"])
+def test_scan_flags_rejected_elsewhere(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "2"])
+    assert exc.value.code == 2
 
 
 class TestCompare:

@@ -62,6 +62,11 @@ class TestScan:
         par = scan(base, 80, 180, jobs=4)
         assert seq == par
 
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError):
+            scan(BaseSequence((3, 5, 9)), 80, 180, jobs=jobs)
+
 
 class TestEventualReport:
     def test_family(self):

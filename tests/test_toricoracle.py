@@ -1,10 +1,16 @@
+import hashlib
 import itertools
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cishift.delorme import is_complete_intersection
 from cishift.errors import BoundTooSmallError, CapExceededError
+from cishift.seqcore import GeneratorSequence
 from cishift.toricoracle import (
+    MAX_ORACLE_BITS,
     betti_profile,
     factorizations,
     graph_components,
@@ -94,7 +100,7 @@ class TestBettiProfile:
         assert profile.counts_dict() == {21: 1, 36: 1}
 
     def test_engines_agree(self):
-        # the last case has six generators and exercises the non-vectorized path
+        # the last case has six generators, more than the other cases
         for gens in [(2, 3), (3, 4, 5), (5, 6, 7), (4, 6, 9), (7, 9, 12), (1, 2, 3),
                      (6, 10, 15), (28, 31, 36, 48), (5, 6, 7, 8, 9, 11)]:
             fast = betti_profile(gens)
@@ -135,6 +141,59 @@ class TestBettiProfile:
 
     def test_singleton(self):
         assert betti_profile((7,)).mu == 0
+
+    def test_large_degree_bound(self):
+        # shift j = 5000 of the base (11, 16, 28): 940,141 degrees, and the
+        # profile JSON pinned by its digest
+        profile = betti_profile((5000, 5011, 5016, 5028))
+        assert profile.bound == 940_141
+        assert profile.mu == 4
+        assert hashlib.sha256(profile_to_json(profile).encode()).hexdigest() == (
+            "9dbc95d6d7a10d501db11ecce81490d98aed0c6a929e068f17274e20026d0d23"
+        )
+
+    def test_oversized_input_refused_before_any_mask(self):
+        # the Frobenius mask alone would take 1e10 bits
+        with pytest.raises(CapExceededError):
+            betti_profile((100000, 100001))
+        with pytest.raises(CapExceededError):
+            betti_profile((3, 4, 5), MAX_ORACLE_BITS)
+
+
+# gcd-1 sequences of length 2..7 on 1..24; entries of at least length - 2
+# keep the factorization counts, and so the enumerate engine, small (about
+# 0.15 s per sequence at worst, and clear of the factorization cap)
+gcd_one_sequences = st.integers(2, 7).flatmap(
+    lambda n: st.lists(st.integers(max(1, n - 2), 24), min_size=n, max_size=n, unique=True)
+).map(lambda xs: tuple(sorted(xs))).filter(lambda g: gcd(*g) == 1)
+
+
+class TestOracleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(gcd_one_sequences)
+    def test_graph_engine_matches_enumerate(self, gens):
+        assert betti_profile(gens) == betti_profile(gens, engine="enumerate")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True))
+    def test_decider_matches_oracle(self, entries):
+        seq = GeneratorSequence(tuple(sorted(entries)))
+        assert (is_complete_intersection(seq) is not None) == is_ci_oracle(seq)
+
+
+class TestProfileGolden:
+    # SHA-256 of the profile JSON, one line per gcd-1 sequence of length 3
+    # or 4 on 1..18 (3,631 profiles)
+    DIGEST = "e4fffdd84a76cdb88455e4ab2cc85eaa84344deaa32fdb6db05e91fc90d64e9e"
+
+    def test_profiles_unchanged(self):
+        digest = hashlib.sha256()
+        for n in (3, 4):
+            for comb in itertools.combinations(range(1, 19), n):
+                if gcd(*comb) != 1:
+                    continue
+                digest.update(profile_to_json(betti_profile(comb)).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestIsCiOracle:
