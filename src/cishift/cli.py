@@ -2,7 +2,8 @@
 
 Commands: analyze, scan, report, oracle, compare, verify-paper.
 Exit codes: 0 success / CI / agreement; 1 negative verdict, disagreement, or
-fixture failure; 2 usage or parse errors; 3 cost-cap or oracle-bound errors.
+fixture failure; 2 usage or parse errors; 3 cost-cap or oracle-bound errors,
+among them analyze/compare inputs too large for the decider.
 """
 
 from __future__ import annotations
@@ -22,11 +23,19 @@ from .seqcore import (
     BaseSequence,
     GeneratorSequence,
     format_sequence,
+    normalize,
     parse_base,
     parse_gens,
 )
 
 DEFAULT_SEED = 1729
+
+# analyze and compare refuse inputs the decider cannot finish fast.  Its
+# membership tables are as long as the largest entry (three entries near
+# 2^27 take 0.5 s and 134 MiB, growing linearly), and it tries 2^m
+# bipartitions of m generators (m = 16 takes 1 s, m = 18 up to 6.6 s).
+MAX_DECIDE_ENTRY = 1 << 27
+MAX_DECIDE_GENS = 17
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -54,8 +63,23 @@ def _print_json(data) -> None:
     print(json.dumps(data, sort_keys=True))
 
 
+def _refuse_costly_decision(seq: GeneratorSequence) -> None:
+    """CapExceededError for inputs past MAX_DECIDE_ENTRY or MAX_DECIDE_GENS."""
+    _, reduced = normalize(seq)
+    if reduced.gens[-1] > MAX_DECIDE_ENTRY:
+        raise CapExceededError(
+            f"decider: largest entry {reduced.gens[-1]} (gcd divided out) "
+            f"exceeds {MAX_DECIDE_ENTRY}"
+        )
+    if len(seq) > MAX_DECIDE_GENS:
+        raise CapExceededError(
+            f"decider: {len(seq)} generators, more than {MAX_DECIDE_GENS}"
+        )
+
+
 def cmd_analyze(cfg: RunConfig) -> int:
     seq = GeneratorSequence(cfg.sequence)
+    _refuse_costly_decision(seq)
     cert = delorme.is_complete_intersection(seq)
     if cfg.fmt == "json":
         _print_json({
@@ -169,6 +193,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     seq = GeneratorSequence(cfg.sequence)
+    _refuse_costly_decision(seq)
     cert = delorme.is_complete_intersection(seq)
     criterion_ci = cert is not None
     mu = toricoracle.betti_profile(seq, cfg.bound).mu
@@ -361,17 +386,22 @@ def cmd_verify_paper(cfg: RunConfig) -> int:
         ("trap-n3-printed-pairing", _fixture_trap_printed_pairing),
         ("trap-low-threshold", _fixture_trap_low_threshold),
     ]
-    print(f"seed: {cfg.seed}")
-    first_failure = None
+    text = cfg.fmt == "text"
+    if text:
+        print(f"seed: {cfg.seed}")
+    results = []
     for name, fn in fixtures:
         start = time.perf_counter()
         ok, detail = fn()
         elapsed = time.perf_counter() - start
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({elapsed:.2f}s)")
-        if not ok and first_failure is None:
-            first_failure = name
-    if first_failure is not None:
-        print(f"FAILED: {first_failure}", file=sys.stderr)
+        results.append({"name": name, "ok": ok, "detail": detail, "seconds": elapsed})
+        if text:
+            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({elapsed:.2f}s)")
+    if not text:
+        _print_json({"seed": cfg.seed, "fixtures": results})
+    failures = [r["name"] for r in results if not r["ok"]]
+    if failures:
+        print(f"FAILED: {failures[0]}", file=sys.stderr)
         return EXIT_NEGATIVE
     return EXIT_OK
 
@@ -388,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def add_format(p: argparse.ArgumentParser, choices=("text", "json", "csv")) -> None:
+        p.add_argument("--format", choices=choices, default="text")
 
     def add_scan_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cap", type=int, default=None, help="cost budget")
@@ -425,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the worked-example fixture suite")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_format(p)
+    add_format(p, ("text", "json"))
 
     return parser
 

@@ -14,7 +14,8 @@ Two interchangeable engines compute the per-degree component counts:
   and two cliques meet exactly when such an edge exists, so both graphs have
   the same component count.  It reads the big-integer membership mask of
   the semigroup module, shifted by g and by g + h, and closes the graphs of
-  all degrees at once, in len(gens)^3 big-integer operations.
+  all degrees at once over the unordered generator pairs: n * C(n-1, 2)
+  big-integer AND/OR pairs for n generators.
 * "enumerate" lists every factorization per degree (depth-first, subject to
   a cap) and unions them coordinate by coordinate, exactly mirroring the
   definition.  It exists as the slow reference path.
@@ -22,17 +23,18 @@ Two interchangeable engines compute the per-degree component counts:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 from .errors import BoundTooSmallError, CapExceededError
-from .semigroup import GensLike, _entries, _member_bits, frobenius
+from .semigroup import GensLike, _entries, _member_bits
 from .seqcore import GeneratorSequence, normalize
 
 DEFAULT_FACTORIZATION_CAP = 50_000
 
-# betti_profile refuses inputs whose len(gens)^2 masks, sized by the degree
-# bound, would hold more bits than this (the reach masks take about as many)
+# betti_profile refuses an input whose membership mask, or whose len(gens)^2
+# reach masks sized by the degree bound, would hold more bits than this
 MAX_ORACLE_BITS = 1 << 30
 
 
@@ -128,41 +130,70 @@ def graph_components(fset: FactorizationSet) -> int:
     return len({uf.find(i) for i in range(len(fset.vectors))})
 
 
-def _disconnected_degrees(gens: tuple[int, ...], upto: int) -> dict[int, int]:
+@functools.cache
+def _closure_schedule(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Floyd-Warshall steps over an n x n matrix stored row-major.
+
+    For each k in turn, and each pair i < j with i, j != k: the positions of
+    (i, j), (j, i), (i, k) and (k, j).
+    """
+    return tuple(
+        (i * n + j, j * n + i, i * n + k, k * n + j)
+        for k in range(n)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if k != i and k != j
+    )
+
+
+def _disconnected_degrees(gens: tuple[int, ...], mask: int, upto: int) -> dict[int, int]:
     """{degree: components - 1} for every degree 1..upto with a disconnected graph.
 
-    Bit b of reach[i][j] says whether generators i and j are joined at
-    degree b (bit b of reach[i][i]: whether i is a vertex there), so one
-    boolean Floyd-Warshall over these n x n masks closes the graphs of all
-    degrees at once.  Each component is counted at its smallest vertex.
+    `mask` is the membership mask of gens on at least 0..upto.  Bit b of
+    reach[i][j] says whether generators i and j are joined at degree b (bit
+    b of reach[i][i]: whether i is a vertex there), so one boolean
+    Floyd-Warshall over these masks closes the graphs of all degrees at once.
+    reach is symmetric and every edge mask lies inside the vertex masks of
+    its ends, so the closure updates the pairs i < j off k only, writing
+    both halves, and leaves the diagonal alone: n * C(n-1, 2) AND/OR pairs.
+    Each component is counted at its smallest vertex.
     """
+    n = len(gens)
     full = (1 << (upto + 1)) - 1
-    mask = _member_bits(gens, upto + 1)
-    reach = [
-        [(mask << (gi if i == j else gi + gj)) & full for j, gj in enumerate(gens)]
-        for i, gi in enumerate(gens)
-    ]
-    for k, row_k in enumerate(reach):
-        for i, row_i in enumerate(reach):
-            via = row_i[k]
-            if via:
-                reach[i] = [x | (via & y) for x, y in zip(row_i, row_k)]
+    mask &= full  # shift only the bits that can land inside full
+    reach = [0] * (n * n)  # reach[i][j] at i * n + j
+    for i, gi in enumerate(gens):
+        reach[i * n + i] = (mask << gi) & full
+        for j in range(i + 1, n):
+            reach[i * n + j] = reach[j * n + i] = (mask << (gi + gens[j])) & full
+    for ij, ji, ik, kj in _closure_schedule(n):
+        reach[ij] = reach[ji] = reach[ij] | (reach[ik] & reach[kj])
     firsts = []
-    ones = twos = 0  # degrees with at least one / two components
-    for i, row in enumerate(reach):
+    ones = twos = threes = 0  # degrees with at least 1 / 2 / 3 components
+    for i in range(n):
         joined = 0
-        for x in row[:i]:
+        for x in reach[i * n:i * n + i]:
             joined |= x
-        first = row[i] & ~joined
+        first = reach[i * n + i] & ~joined
         firsts.append(first)
+        threes |= twos & first
         twos |= ones & first
         ones |= first
     out = {}
     while twos:
         b = twos.bit_length() - 1
         twos ^= 1 << b
-        out[b] = sum(first >> b & 1 for first in firsts) - 1
+        # only degrees with three or more components need a count
+        out[b] = sum(first >> b & 1 for first in firsts) - 1 if threes >> b & 1 else 1
     return out
+
+
+def _refuse_oversized(entries: tuple[int, ...], bits: int) -> None:
+    if bits > MAX_ORACLE_BITS:
+        raise CapExceededError(
+            f"oracle for {entries} needs about {bits} mask bits, "
+            f"more than {MAX_ORACLE_BITS}"
+        )
 
 
 def betti_profile(
@@ -178,7 +209,9 @@ def betti_profile(
     A window of one extra max(gens) stretch past the bound must contain no
     disconnected degree, otherwise BoundTooSmallError is raised; this keeps
     an undersized bound from silently undercounting mu.  Inputs whose masks
-    would exceed MAX_ORACLE_BITS raise CapExceededError up front.
+    would exceed MAX_ORACLE_BITS raise CapExceededError before those masks
+    are built: the membership mask is checked first, the reach masks once
+    the bound is known.
     """
     entries = _entries(gens)
     d, reduced = normalize(GeneratorSequence(entries))
@@ -192,21 +225,25 @@ def betti_profile(
         B = bound if bound is not None else entries[-1]
         return BettiProfile(entries, B, (), 0)
 
-    # size check before any mask is built; frobenius < min * max bounds B
-    B = rgens[0] * gmax + 2 * gmax if bound is None else bound // d
-    bits = len(rgens) ** 2 * (B + gmax)
-    if bits > MAX_ORACLE_BITS:
-        raise CapExceededError(
-            f"oracle for {entries} needs about {bits} mask bits, "
-            f"more than {MAX_ORACLE_BITS}"
-        )
-
     if bound is None:
-        B = frobenius(rgens) + 2 * gmax
+        # F < min*max and every value above F is a member, so this one mask
+        # holds F as its highest zero bit and covers every degree up to
+        # F + 3*max, the guard window included
+        nbits = rgens[0] * gmax + 2 * gmax + 1
+        _refuse_oversized(entries, nbits)
+        mask = _member_bits(rgens, nbits)
+        B = (~mask & ((1 << nbits) - 1)).bit_length() - 1 + 2 * gmax
+    else:
+        B = bound // d
+        mask = None
     upto = B + gmax  # guard window (B, B + gmax]
+    # the n(n+1)/2 reach masks of upto bits each take at most this many
+    _refuse_oversized(entries, len(rgens) ** 2 * upto)
 
     if engine == "graph":
-        disconnected = _disconnected_degrees(rgens, upto)
+        if mask is None:
+            mask = _member_bits(rgens, upto + 1)
+        disconnected = _disconnected_degrees(rgens, mask, upto)
     elif engine == "enumerate":
         disconnected = {}
         for b in range(1, upto + 1):

@@ -129,6 +129,21 @@ def test_hostile_oracle_input_exits_three_fast(capsys, command):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+@pytest.mark.parametrize("sequence", [
+    # membership tables of 1e10 bits
+    "10000000000,10000000001,10000000002",
+    # 2^30 bipartitions
+    ",".join(str(100 + 7 * i) for i in range(30)),
+])
+def test_hostile_decider_input_exits_three_fast(capsys, command, sequence):
+    start = time.perf_counter()
+    code, _, err = run(capsys, command, sequence)
+    assert code == 3
+    assert "decider" in err
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "3,4,5"], ["oracle", "3,4,5"], ["compare", "3,4,5"], ["verify-paper"],
 ])
@@ -165,3 +180,20 @@ class TestVerifyPaper:
     def test_seed_flag_printed(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--seed", "7")
         assert "seed: 7" in out
+
+    def test_json_lists_every_fixture(self, capsys):
+        code, out, _ = run(capsys, "verify-paper", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["seed"] == 1729
+        fixtures = data["fixtures"]
+        assert len(fixtures) == 10
+        assert len({f["name"] for f in fixtures}) == 10
+        for f in fixtures:
+            assert set(f) == {"name", "ok", "detail", "seconds"}
+            assert f["ok"] is True and f["detail"] and f["seconds"] >= 0
+
+    def test_csv_format_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-paper", "--format", "csv"])
+        assert exc.value.code == 2

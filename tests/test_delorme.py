@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cishift.delorme import (
     Leaf,
@@ -146,6 +149,71 @@ class TestVerifier:
     def test_rejects_malformed_tree(self):
         assert not verify_certificate(GeneratorSequence((4, 6, 9)), Leaf((4, 6, 9)))
         assert not verify_certificate(GeneratorSequence((4, 6, 9)), "garbage")
+
+
+def _node_entries(split):
+    """The entries a split node stands for, rebuilt from its two sides."""
+    vals = dict(zip(split.left_indices, (split.k1 * v for v in split.left_reduced.gens)))
+    vals.update(zip(split.right_indices, (split.k2 * v for v in split.right_reduced.gens)))
+    return tuple(vals[i] for i in sorted(vals))
+
+
+def _with_coefficient(witness, i, delta):
+    coeffs = list(witness.coefficients)
+    coeffs[i] += delta
+    return Representation(tuple(coeffs), witness.target, witness.gens)
+
+
+def single_field_mutations(cert, root):
+    """Every tree that differs from cert in one field of one node.
+
+    root, a split node, stands in for a leaf when a node type is swapped.
+    """
+    if isinstance(cert, Leaf):
+        for i, delta in itertools.product(range(len(cert.entries)), (-1, 1)):
+            entries = list(cert.entries)
+            entries[i] += delta
+            yield Leaf(tuple(entries))
+        yield root
+        return
+    split = cert.split
+    yield Leaf(_node_entries(split))
+    for field in ("k1", "k2"):
+        for delta in (-1, 1):
+            bad = dataclasses.replace(split, **{field: getattr(split, field) + delta})
+            yield dataclasses.replace(cert, split=bad)
+    for field in ("k1_witness", "k2_witness"):
+        witness = getattr(cert, field)
+        for i, delta in itertools.product(range(len(witness.coefficients)), (-1, 1)):
+            yield dataclasses.replace(cert, **{field: _with_coefficient(witness, i, delta)})
+    for i in split.left_indices + split.right_indices:
+        # index i changes sides
+        left = tuple(sorted(set(split.left_indices) ^ {i}))
+        right = tuple(sorted(set(split.right_indices) ^ {i}))
+        yield dataclasses.replace(
+            cert, split=dataclasses.replace(split, left_indices=left, right_indices=right)
+        )
+    for field in ("left_cert", "right_cert"):
+        for bad in single_field_mutations(getattr(cert, field), root):
+            yield dataclasses.replace(cert, **{field: bad})
+
+
+class TestVerifierProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(1, 40), min_size=3, max_size=5, unique=True)
+        .map(lambda xs: tuple(sorted(xs)))
+        .filter(lambda g: gcd(*g) == 1)
+    )
+    def test_every_single_field_mutation_rejected(self, gens):
+        seq = GeneratorSequence(gens)
+        cert = is_complete_intersection(seq)
+        assume(isinstance(cert, SplitNode))
+        assert verify_certificate(seq, cert)
+        mutations = list(single_field_mutations(cert, cert))
+        assert mutations
+        for bad in mutations:
+            assert verify_certificate(seq, bad) is False, bad
 
 
 class TestSerialization:

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cishift import toricoracle
 from cishift.delorme import is_complete_intersection
 from cishift.errors import BoundTooSmallError, CapExceededError
+from cishift.semigroup import _member_bits, frobenius
 from cishift.seqcore import GeneratorSequence
 from cishift.toricoracle import (
     MAX_ORACLE_BITS,
+    _disconnected_degrees,
     betti_profile,
     factorizations,
     graph_components,
@@ -158,6 +161,71 @@ class TestBettiProfile:
             betti_profile((100000, 100001))
         with pytest.raises(CapExceededError):
             betti_profile((3, 4, 5), MAX_ORACLE_BITS)
+
+    def test_oversized_input_builds_no_mask(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a mask was built")
+
+        monkeypatch.setattr(toricoracle, "_member_bits", refuse)
+        for gens, bound in [((100000, 100001), None), ((3, 4, 5), MAX_ORACLE_BITS)]:
+            with pytest.raises(CapExceededError):
+                betti_profile(gens, bound)
+
+    def test_cap_sized_by_the_real_bound(self):
+        # shift j = 8177 of the base (11, 16, 28): 16 reach masks sized by
+        # min*max would exceed MAX_ORACLE_BITS, but the real degree bound
+        # needs only 16 * 2.5 million bits
+        gens = (8177, 8188, 8193, 8205)
+        profile = betti_profile(gens)
+        assert profile.bound == frobenius(gens) + 2 * gens[-1]
+        assert profile.mu >= len(gens) - 1
+
+
+def reference_disconnected_degrees(gens, upto):
+    """The ordered n^3 boolean Floyd-Warshall over every pair (i, j)."""
+    full = (1 << (upto + 1)) - 1
+    mask = _member_bits(gens, upto + 1)
+    reach = [
+        [(mask << (gi if i == j else gi + gj)) & full for j, gj in enumerate(gens)]
+        for i, gi in enumerate(gens)
+    ]
+    for k, row_k in enumerate(reach):
+        for i, row_i in enumerate(reach):
+            via = row_i[k]
+            if via:
+                reach[i] = [x | (via & y) for x, y in zip(row_i, row_k)]
+    firsts = []
+    for i, row in enumerate(reach):
+        joined = 0
+        for x in row[:i]:
+            joined |= x
+        firsts.append(row[i] & ~joined)
+    out = {}
+    for b in range(upto + 1):
+        count = sum(first >> b & 1 for first in firsts)
+        if count > 1:
+            out[b] = count - 1
+    return out
+
+
+class TestClosureReference:
+    # lengths past the reach of the enumerate engine
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(1, 200), min_size=2, max_size=10, unique=True)
+        .map(lambda xs: tuple(sorted(xs)))
+        .filter(lambda g: gcd(*g) == 1),
+        st.data(),
+    )
+    def test_matches_ordered_floyd_warshall(self, gens, data):
+        # betti_profile hands over a mask longer than the degrees asked for
+        gmax = gens[-1]
+        nbits = gens[0] * gmax + 2 * gmax + 1
+        upto = data.draw(st.integers(gmax, frobenius(gens) + 3 * gmax))
+        mask = _member_bits(gens, nbits)
+        assert _disconnected_degrees(gens, mask, upto) == (
+            reference_disconnected_degrees(gens, upto)
+        )
 
 
 # gcd-1 sequences of length 2..7 on 1..24; entries of at least length - 2
