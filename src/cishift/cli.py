@@ -30,11 +30,13 @@ from .seqcore import (
 
 DEFAULT_SEED = 1729
 
-# analyze and compare refuse inputs the decider cannot finish fast.  Its
-# membership tables are as long as the largest entry (three entries near
-# 2^27 take 0.5 s and 134 MiB, growing linearly), and it tries 2^m
-# bipartitions of m generators (m = 16 takes 1 s, m = 18 up to 6.6 s).
-MAX_DECIDE_ENTRY = 1 << 27
+# analyze and compare refuse inputs the decider cannot finish fast.  It
+# keeps membership tables as long as the largest entry for several sides,
+# so its memory grows with generators x largest entry (consecutive entries
+# from 2^27: 126 MiB at 3, 166 MiB at 4, 198 MiB at 6; at most 133 MiB and
+# 3.6 s with the product at 3 * 2^27), and it tries 2^m bipartitions of m
+# generators (m = 16 takes 1 s, m = 18 up to 6.6 s).
+MAX_DECIDE_SIZE = 3 << 27
 MAX_DECIDE_GENS = 17
 
 EXIT_OK = 0
@@ -64,12 +66,13 @@ def _print_json(data) -> None:
 
 
 def _refuse_costly_decision(seq: GeneratorSequence) -> None:
-    """CapExceededError for inputs past MAX_DECIDE_ENTRY or MAX_DECIDE_GENS."""
+    """CapExceededError for inputs past MAX_DECIDE_SIZE or MAX_DECIDE_GENS."""
     _, reduced = normalize(seq)
-    if reduced.gens[-1] > MAX_DECIDE_ENTRY:
+    size = len(reduced) * reduced.gens[-1]
+    if size > MAX_DECIDE_SIZE:
         raise CapExceededError(
-            f"decider: largest entry {reduced.gens[-1]} (gcd divided out) "
-            f"exceeds {MAX_DECIDE_ENTRY}"
+            f"decider: {len(reduced)} generators x largest entry "
+            f"{reduced.gens[-1]} (gcd divided out) = {size} exceeds {MAX_DECIDE_SIZE}"
         )
     if len(seq) > MAX_DECIDE_GENS:
         raise CapExceededError(

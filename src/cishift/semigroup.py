@@ -185,19 +185,26 @@ def find_representation_with_sum(
     return Representation(_lex_smallest(b, entries, layers), b, entries)
 
 
-def frobenius(gens: GensLike) -> int:
-    """Largest integer outside the semigroup; -1 when 1 is a generator.
+def _frobenius_mask(entries: tuple[int, ...], extra: int) -> tuple[int, int]:
+    """(F, mask): the Frobenius number of gcd-1 entries and their membership
+    mask on at least 0..F + extra.
 
-    Read off as the highest zero bit of the membership mask below the
-    Schur-type bound min*max + min + 1, which the complement never reaches.
+    Schur's bound F <= (min-1)(max-1) - 1 sizes the mask before F is known:
+    (min-1)(max-1) + extra bits hold every value up to F + extra, and F is
+    their highest zero bit, since every value above F is a member.
     """
+    nbits = (min(entries) - 1) * (max(entries) - 1) + extra
+    mask = _member_bits(entries, nbits)
+    return (~mask & ((1 << nbits) - 1)).bit_length() - 1, mask
+
+
+def frobenius(gens: GensLike) -> int:
+    """Largest integer outside the semigroup; -1 when 1 is a generator."""
     entries = _entries(gens)
     d = gcd(*entries)
     if d != 1:
         raise ValueError(f"frobenius number undefined: gcd({entries}) = {d}")
-    lo = min(entries)
-    nbits = lo * max(entries) + lo + 2
-    return (~_member_bits(entries, nbits) & ((1 << nbits) - 1)).bit_length() - 1
+    return _frobenius_mask(entries, 0)[0]
 
 
 def divisors(n: int) -> tuple[int, ...]:

@@ -23,12 +23,11 @@ Two interchangeable engines compute the per-degree component counts:
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
 from .errors import BoundTooSmallError, CapExceededError
-from .semigroup import GensLike, _entries, _member_bits
+from .semigroup import GensLike, _entries, _frobenius_mask, _member_bits
 from .seqcore import GeneratorSequence, normalize
 
 DEFAULT_FACTORIZATION_CAP = 50_000
@@ -130,22 +129,6 @@ def graph_components(fset: FactorizationSet) -> int:
     return len({uf.find(i) for i in range(len(fset.vectors))})
 
 
-@functools.cache
-def _closure_schedule(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Floyd-Warshall steps over an n x n matrix stored row-major.
-
-    For each k in turn, and each pair i < j with i, j != k: the positions of
-    (i, j), (j, i), (i, k) and (k, j).
-    """
-    return tuple(
-        (i * n + j, j * n + i, i * n + k, k * n + j)
-        for k in range(n)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if k != i and k != j
-    )
-
-
 def _disconnected_degrees(gens: tuple[int, ...], mask: int, upto: int) -> dict[int, int]:
     """{degree: components - 1} for every degree 1..upto with a disconnected graph.
 
@@ -161,30 +144,34 @@ def _disconnected_degrees(gens: tuple[int, ...], mask: int, upto: int) -> dict[i
     n = len(gens)
     full = (1 << (upto + 1)) - 1
     mask &= full  # shift only the bits that can land inside full
-    reach = [0] * (n * n)  # reach[i][j] at i * n + j
+    reach = [[0] * n for _ in range(n)]
     for i, gi in enumerate(gens):
-        reach[i * n + i] = (mask << gi) & full
+        reach[i][i] = (mask << gi) & full
         for j in range(i + 1, n):
-            reach[i * n + j] = reach[j * n + i] = (mask << (gi + gens[j])) & full
-    for ij, ji, ik, kj in _closure_schedule(n):
-        reach[ij] = reach[ji] = reach[ij] | (reach[ik] & reach[kj])
+            reach[i][j] = reach[j][i] = (mask << (gi + gens[j])) & full
+    for k, row_k in enumerate(reach):
+        for i, row_i in enumerate(reach):
+            if i == k:
+                continue
+            via = row_k[i]
+            for j in range(i + 1, n):
+                if j != k:
+                    row_i[j] = reach[j][i] = row_i[j] | (via & row_k[j])
     firsts = []
-    ones = twos = threes = 0  # degrees with at least 1 / 2 / 3 components
-    for i in range(n):
+    ones = twos = 0  # degrees with at least one / two components
+    for i, row in enumerate(reach):
         joined = 0
-        for x in reach[i * n:i * n + i]:
+        for x in row[:i]:
             joined |= x
-        first = reach[i * n + i] & ~joined
+        first = row[i] & ~joined
         firsts.append(first)
-        threes |= twos & first
         twos |= ones & first
         ones |= first
     out = {}
     while twos:
         b = twos.bit_length() - 1
         twos ^= 1 << b
-        # only degrees with three or more components need a count
-        out[b] = sum(first >> b & 1 for first in firsts) - 1 if threes >> b & 1 else 1
+        out[b] = sum(first >> b & 1 for first in firsts) - 1
     return out
 
 
@@ -226,13 +213,11 @@ def betti_profile(
         return BettiProfile(entries, B, (), 0)
 
     if bound is None:
-        # F < min*max and every value above F is a member, so this one mask
-        # holds F as its highest zero bit and covers every degree up to
-        # F + 3*max, the guard window included
-        nbits = rgens[0] * gmax + 2 * gmax + 1
-        _refuse_oversized(entries, nbits)
-        mask = _member_bits(rgens, nbits)
-        B = (~mask & ((1 << nbits) - 1)).bit_length() - 1 + 2 * gmax
+        # one mask gives F and covers every degree up to F + 3*max, the guard
+        # window included; it has at most min*max + 2*max bits
+        _refuse_oversized(entries, rgens[0] * gmax + 2 * gmax)
+        frob, mask = _frobenius_mask(rgens, 3 * gmax)
+        B = frob + 2 * gmax
     else:
         B = bound // d
         mask = None

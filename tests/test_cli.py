@@ -133,6 +133,8 @@ def test_hostile_oracle_input_exits_three_fast(capsys, command):
 @pytest.mark.parametrize("sequence", [
     # membership tables of 1e10 bits
     "10000000000,10000000001,10000000002",
+    # 17 entries near 2^25: each one small enough, their tables together not
+    ",".join(str((1 << 25) + i) for i in range(17)),
     # 2^30 bipartitions
     ",".join(str(100 + 7 * i) for i in range(30)),
 ])

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -227,6 +229,20 @@ class TestClosureReference:
             reference_disconnected_degrees(gens, upto)
         )
 
+    def test_closure_memory_stays_with_the_masks(self):
+        # 80 generators: 246,480 closure steps on 3,240 masks of 557 bits,
+        # which take about 0.4 MiB
+        gens = tuple(range(80, 160))
+        upto = frobenius(gens) + 3 * gens[-1]
+        mask = _member_bits(gens, upto + 1)
+        tracemalloc.start()
+        try:
+            _disconnected_degrees(gens, mask, upto)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
 
 # gcd-1 sequences of length 2..7 on 1..24; entries of at least length - 2
 # keep the factorization counts, and so the enumerate engine, small (about
@@ -261,6 +277,28 @@ class TestProfileGolden:
                 if gcd(*comb) != 1:
                     continue
                 digest.update(profile_to_json(betti_profile(comb)).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestSeededProfileGolden:
+    # SHA-256 of one line per seeded input: the profile JSON, or the name of
+    # the exception raised.  600 inputs of 2..8 entries on 1..200, common
+    # factors allowed, 30% of them with a random bound (10 raise
+    # BoundTooSmallError)
+    DIGEST = "801dd3f3e2e014c980ee869965ff1c01204fa62b6c9cc812444e2e89eb58cfaf"
+
+    def test_profiles_and_errors_unchanged(self):
+        rng = random.Random(600)
+        digest = hashlib.sha256()
+        for _ in range(600):
+            n = rng.randint(2, 8)
+            gens = tuple(sorted(rng.sample(range(1, 201), n)))
+            bound = rng.randint(gens[-1], 4000) if rng.random() < 0.3 else None
+            try:
+                line = profile_to_json(betti_profile(gens, bound))
+            except (BoundTooSmallError, CapExceededError, ValueError) as exc:
+                line = type(exc).__name__
+            digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == self.DIGEST
 
 
