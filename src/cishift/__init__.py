@@ -7,6 +7,7 @@ from .delorme import (
     SplitNode,
     certificate_from_json,
     certificate_to_json,
+    clear_caches,
     enumerate_splits,
     format_certificate,
     is_complete_intersection,

@@ -31,10 +31,11 @@ from .seqcore import (
 DEFAULT_SEED = 1729
 
 # analyze and compare refuse inputs the decider cannot finish fast.  It
-# keeps membership tables as long as the largest entry for several sides,
-# so its memory grows with generators x largest entry (consecutive entries
-# from 2^27: 126 MiB at 3, 166 MiB at 4, 198 MiB at 6; at most 133 MiB and
-# 3.6 s with the product at 3 * 2^27), and it tries 2^m bipartitions of m
+# builds membership tables as long as the largest entry for several sides,
+# and past semigroup.MAX_TABLE_BYTES rebuilds them when asked again, so its
+# memory and time grow with generators x largest entry (consecutive entries
+# from 2^27: 127 MiB at 3, 135 MiB at 4 and at 6; at most 108 MiB and
+# 4.4 s with the product at 3 * 2^27), and it tries 2^m bipartitions of m
 # generators (m = 16 takes 1 s, m = 18 up to 6.6 s).
 MAX_DECIDE_SIZE = 3 << 27
 MAX_DECIDE_GENS = 17
@@ -58,7 +59,6 @@ class RunConfig:
     cap: int | None = None
     fmt: str = "text"
     seed: int = DEFAULT_SEED
-    jobs: int = 1
 
 
 def _print_json(data) -> None:
@@ -120,9 +120,7 @@ def _scan_rows(base: BaseSequence, members: tuple[int, ...]) -> list[dict]:
 
 def cmd_scan(cfg: RunConfig) -> int:
     base = BaseSequence(cfg.sequence)
-    result = shiftscan.scan(
-        base, cfg.j_from, cfg.j_to, budget=cfg.cap, jobs=cfg.jobs
-    )
+    result = shiftscan.scan(base, cfg.j_from, cfg.j_to, budget=cfg.cap)
     rows = _scan_rows(base, result.members)
     if cfg.fmt == "json":
         _print_json({
@@ -161,7 +159,7 @@ def _render_report_text(report: shiftscan.PeriodicityReport) -> str:
 def cmd_report(cfg: RunConfig) -> int:
     base = BaseSequence(cfg.sequence)
     report = shiftscan.eventual_report(
-        base, threshold=cfg.threshold, budget=cfg.cap, jobs=cfg.jobs
+        base, threshold=cfg.threshold, budget=cfg.cap
     )
     if cfg.fmt == "json":
         _print_json(shiftscan.report_to_dict(report))
@@ -424,10 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser, choices=("text", "json", "csv")) -> None:
         p.add_argument("--format", choices=choices, default="text")
 
-    def add_scan_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--cap", type=int, default=None, help="cost budget")
-        p.add_argument("--jobs", type=int, default=1)
-
     p = sub.add_parser("analyze", help="decide CI for one generator sequence")
     p.add_argument("sequence", help="comma-separated generators, e.g. 28,31,36,48")
     add_format(p)
@@ -437,14 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("j_from", type=int)
     p.add_argument("j_to", type=int)
     add_format(p)
-    add_scan_options(p)
+    p.add_argument("--cap", type=int, default=None, help="cost budget")
 
     p = sub.add_parser("report", help="eventual-periodicity report for a base")
     p.add_argument("base")
     p.add_argument("--threshold", type=int, default=None,
                    help="override the default a_n^2 window start")
     add_format(p)
-    add_scan_options(p)
+    p.add_argument("--cap", type=int, default=None, help="cost budget")
 
     p = sub.add_parser("oracle", help="factorization-graph generator counts")
     p.add_argument("sequence")
@@ -482,7 +476,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cap=getattr(args, "cap", None),
         fmt=getattr(args, "format", "text"),
         seed=getattr(args, "seed", DEFAULT_SEED),
-        jobs=getattr(args, "jobs", 1),
     )
 
 

@@ -16,6 +16,7 @@ from typing import Iterator, Union
 
 from .semigroup import (
     Representation,
+    _clear_tables,
     divisors,
     find_representation,
     is_member,
@@ -99,6 +100,15 @@ def enumerate_splits(gens: GeneratorSequence) -> list[DelormeSplit]:
 
 # verdict cache keyed by the normalized entry tuple
 _CI_MEMO: dict[tuple[int, ...], CICertificate | None] = {}
+
+
+def clear_caches() -> None:
+    """Empty the verdict memo and the membership tables.
+
+    Answers do not depend on either cache; this only returns their memory.
+    """
+    _CI_MEMO.clear()
+    _clear_tables()
 
 
 def is_complete_intersection(gens: GeneratorSequence) -> CICertificate | None:

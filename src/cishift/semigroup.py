@@ -9,14 +9,15 @@ from big-integer bitsets whose bit v stands for the value v:
   witness with coefficient sum t costs O(len(gens) * t) big-integer
   operations, however large the target.
 
-Membership tables grow on demand and are memoized per generator tuple; the
-cache is a plain dict whose reads and inserts are atomic under the GIL, so
-concurrent scans can share it.
+Membership tables grow on demand and are memoized per generator tuple.  On
+shift families a table is as long as the shift j, so the cache is bounded by
+total bytes (``MAX_TABLE_BYTES``) rather than by entry count.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
@@ -62,11 +63,18 @@ def _check_positive(gens: tuple[int, ...]) -> None:
         raise ValueError(f"generators must be positive, got {gens}")
 
 
+# Total bytes of membership tables kept between calls.  An evicted table is
+# rebuilt when asked for again, so a smaller cap trades time for memory; a
+# table larger than the cap is still kept until the next miss.
+MAX_TABLE_BYTES = 2**21
+
 # membership tables, keyed by generator tuple: the little-endian bytes of
 # the mask from _member_bits, regrown to at least double the size on demand.
-# A grown table is always built completely before being published, so
-# concurrent readers only ever see finished snapshots (stale ones at worst).
-_MEMBER_TABLES: dict[tuple[int, ...], bytes] = {}
+# Kept in insertion order (a regrown table counts as newly inserted), so a
+# miss can evict the oldest.  _table_bytes is their total; an entry removed
+# from outside leaves it too high, which only evicts sooner.
+_MEMBER_TABLES: OrderedDict[tuple[int, ...], bytes] = OrderedDict()
+_table_bytes = 0
 
 
 def _member_bits(gens: tuple[int, ...], nbits: int) -> int:
@@ -92,14 +100,25 @@ def _member_bytes(gens: tuple[int, ...], nbytes: int) -> bytes:
 
 
 def _member_table(gens: tuple[int, ...], upto: int) -> bytes:
+    global _table_bytes
     table = _MEMBER_TABLES.get(gens)
     need = (upto >> 3) + 1
     if table is not None and len(table) >= need:
         return table
-    old_len = len(table) if table is not None else 0
+    # a miss: hits never reorder, so eviction is first-in, first-out
+    old_len = 0 if table is None else len(_MEMBER_TABLES.pop(gens))
     table = _member_bytes(gens, max(need, 2 * old_len))
     _MEMBER_TABLES[gens] = table
+    _table_bytes += len(table) - old_len
+    while _table_bytes > MAX_TABLE_BYTES and len(_MEMBER_TABLES) > 1:
+        _table_bytes -= len(_MEMBER_TABLES.popitem(last=False)[1])
     return table
+
+
+def _clear_tables() -> None:
+    global _table_bytes
+    _MEMBER_TABLES.clear()
+    _table_bytes = 0
 
 
 def is_member(b: int, gens: GensLike) -> bool:

@@ -22,7 +22,6 @@ split analysis, both exercised by the test suite:
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -157,13 +156,10 @@ def scan(
     j_to: int,
     *,
     budget: int | None = None,
-    jobs: int = 1,
 ) -> CISet:
     """Exact CI membership over a shift window; refuses oversized windows."""
     if not 1 <= j_from <= j_to:
         raise ValueError(f"bad scan window [{j_from}, {j_to}]")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     limit = DEFAULT_SCAN_BUDGET if budget is None else budget
     cost = _scan_cost(base, j_from, j_to)
     if cost > limit:
@@ -171,13 +167,9 @@ def scan(
             f"window [{j_from}, {j_to}] for {base} has estimated cost "
             f"{cost} above the budget {limit}"
         )
-    shifts = range(j_from, j_to + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(lambda j: ci_at(base, j), shifts))
-    else:
-        verdicts = [ci_at(base, j) for j in shifts]
-    members = tuple(j for j, cert in zip(shifts, verdicts) if cert is not None)
+    members = tuple(
+        j for j in range(j_from, j_to + 1) if ci_at(base, j) is not None
+    )
     return CISet(base, j_from, j_to, members)
 
 
@@ -186,15 +178,14 @@ def eventual_report(
     *,
     threshold: int | None = None,
     budget: int | None = None,
-    jobs: int = 1,
 ) -> PeriodicityReport:
     """Scan (J0, J0+P] and (J0+P, J0+2P] with P = an and J0 = an^2 by default."""
     P = base.period
     J0 = P * P if threshold is None else threshold
     if J0 < 0:
         raise ValueError(f"threshold must be non-negative, got {J0}")
-    first = scan(base, J0 + 1, J0 + P, budget=budget, jobs=jobs)
-    second = scan(base, J0 + P + 1, J0 + 2 * P, budget=budget, jobs=jobs)
+    first = scan(base, J0 + 1, J0 + P, budget=budget)
+    second = scan(base, J0 + P + 1, J0 + 2 * P, budget=budget)
     m1, m2 = set(first.members), set(second.members)
     consistent = all((j in m1) == (j + P in m2) for j in range(J0 + 1, J0 + P + 1))
     residues = frozenset(j % P for j in m1) & frozenset(j % P for j in m2)

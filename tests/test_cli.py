@@ -69,16 +69,20 @@ class TestScan:
         assert [row["j"] for row in data["members"]] == [812, 840]
 
     def test_jobs_flag(self, capsys):
-        code, out, _ = run(capsys, "scan", "11,16,28", "785", "841", "--jobs", "3")
-        assert code == 0 and "812" in out
+        # scans run serially; the thread pool behind --jobs is gone
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "11,16,28", "785", "841", "--jobs", "3"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["scan", "11,16,28", "785", "841"],
                                          ["report", "11,16,28"]])
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_nonpositive_jobs_exit_two(self, capsys, command, jobs):
-        code, _, err = run(capsys, *command, "--jobs", jobs)
-        assert code == 2
-        assert "jobs" in err
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "jobs" in capsys.readouterr().err
 
 
 class TestReport:

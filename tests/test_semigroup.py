@@ -1,13 +1,14 @@
 import hashlib
 import itertools
+import tracemalloc
 from functools import lru_cache
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cishift import semigroup
+from cishift import clear_caches, semigroup
 from cishift.delorme import certificate_to_json, is_complete_intersection
 from cishift.semigroup import (
     divisors,
@@ -16,7 +17,8 @@ from cishift.semigroup import (
     frobenius,
     is_member,
 )
-from cishift.seqcore import GeneratorSequence
+from cishift.seqcore import BaseSequence, GeneratorSequence
+from cishift.shiftscan import scan
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +102,8 @@ class TestCertificateGolden:
     # picks shows here.
     DIGEST = "9dc6cc26a8665eb651204f7cbca1318ebf44b7d0606b670e01acd8a400569c77"
 
-    def test_certificates_unchanged(self):
+    @staticmethod
+    def digest() -> str:
         digest = hashlib.sha256()
         for n in (3, 4):
             for comb in itertools.combinations(range(1, 19), n):
@@ -109,7 +112,84 @@ class TestCertificateGolden:
                 cert = is_complete_intersection(GeneratorSequence(comb))
                 text = "null" if cert is None else certificate_to_json(cert)
                 digest.update(text.encode() + b"\n")
-        assert digest.hexdigest() == self.DIGEST
+        return digest.hexdigest()
+
+    def test_certificates_unchanged(self):
+        assert self.digest() == self.DIGEST
+
+    def test_certificates_unchanged_under_one_table_cap(self, one_table_cap):
+        assert self.digest() == self.DIGEST
+
+
+def table_bytes() -> int:
+    return sum(map(len, semigroup._MEMBER_TABLES.values()))
+
+
+def cap_tables(monkeypatch, cap):
+    monkeypatch.setattr(semigroup, "MAX_TABLE_BYTES", cap)
+    clear_caches()
+
+
+@pytest.fixture
+def one_table_cap(monkeypatch):
+    """A one-byte cap: every miss evicts all tables but the new one."""
+    cap_tables(monkeypatch, 1)
+    yield
+    clear_caches()
+
+
+class TestTableCap:
+    # 512 bytes hold a few of these tables (up to 251 bytes each), so
+    # eviction leaves several behind
+    @pytest.mark.parametrize("cap", [1, 512])
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(gen_tuples, min_size=3, max_size=4, unique=True),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2000)),
+                    min_size=1, max_size=30))
+    def test_member_matches_reachability_under_eviction(
+        self, monkeypatch, cap, tuples, queries
+    ):
+        # queries hop between tuples, so each tuple's table is evicted,
+        # rebuilt at the size asked for and regrown in turn
+        cap_tables(monkeypatch, cap)
+        reach = [reachable(2000, gens) for gens in tuples]
+        for which, b in queries:
+            gens = tuples[which % len(tuples)]
+            assert is_member(b, gens) == reach[which % len(tuples)][b]
+            assert gens in semigroup._MEMBER_TABLES
+            assert semigroup._table_bytes == table_bytes()
+            assert table_bytes() <= cap + len(semigroup._MEMBER_TABLES[gens])
+        clear_caches()
+
+    def test_deep_scan_unchanged_under_one_table_cap(self, one_table_cap):
+        result = scan(BaseSequence((11, 16, 28)), 100_001, 100_056)
+        assert result.members == (100_016, 100_044)
+
+    def test_deep_scan_memory_bounded(self):
+        clear_caches()
+        tracemalloc.start()
+        try:
+            result = scan(BaseSequence((11, 16, 28)), 1_000_001, 1_000_056)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.members == (1_000_020, 1_000_048)
+        # uncapped, the tables alone reach 32 MiB here
+        assert peak < 8 * 2**20
+        largest = max(map(len, semigroup._MEMBER_TABLES.values()))
+        assert table_bytes() <= semigroup.MAX_TABLE_BYTES + largest
+        assert semigroup._table_bytes == table_bytes()
+
+    def test_outside_removal_only_overcounts(self):
+        clear_caches()
+        assert semigroup._table_bytes == 0
+        for gens in [(3, 5), (4, 7), (5, 9)]:
+            is_member(5000, gens)
+        semigroup._MEMBER_TABLES.pop((4, 7))
+        assert semigroup._table_bytes > table_bytes()
+        is_member(10**5, (6, 11))
+        assert semigroup._table_bytes >= table_bytes()
 
 
 class TestMembership:

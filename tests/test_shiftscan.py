@@ -1,5 +1,6 @@
 import pytest
 
+from cishift import clear_caches, semigroup
 from cishift.delorme import Leaf
 from cishift.errors import (
     InvalidCertificateError,
@@ -56,15 +57,21 @@ class TestScan:
         result = scan(BaseSequence((11, 16, 28)), 100_001, 100_056)
         assert result.members == (100_016, 100_044)
 
-    def test_jobs_deterministic(self):
+    def test_unchanged_by_cleared_and_evicted_caches(self, monkeypatch):
         base = BaseSequence((3, 5, 9))
-        seq = scan(base, 80, 180)
-        par = scan(base, 80, 180, jobs=4)
-        assert seq == par
+        warm = scan(base, 80, 180)
+        clear_caches()
+        assert scan(base, 80, 180) == warm
+        # a one-byte cap keeps only the table built last
+        monkeypatch.setattr(semigroup, "MAX_TABLE_BYTES", 1)
+        clear_caches()
+        assert scan(base, 80, 180) == warm
+        assert len(semigroup._MEMBER_TABLES) == 1
 
     @pytest.mark.parametrize("jobs", [0, -5])
     def test_nonpositive_jobs_rejected(self, jobs):
-        with pytest.raises(ValueError):
+        # scan takes no jobs keyword since it runs serially
+        with pytest.raises(TypeError):
             scan(BaseSequence((3, 5, 9)), 80, 180, jobs=jobs)
 
 
