@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress, count
 from math import gcd
 from typing import Iterator, Union
 
+from .errors import InvalidCertificateError
 from .semigroup import (
     Representation,
     _clear_tables,
@@ -24,7 +27,7 @@ from .semigroup import (
 from .seqcore import GeneratorSequence, format_sequence, normalize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DelormeSplit:
     """A bipartition of a generator sequence with its two scaling factors.
 
@@ -41,14 +44,14 @@ class DelormeSplit:
     right_reduced: GeneratorSequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     """A sequence of length one or two; always a complete intersection."""
 
     entries: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitNode:
     split: DelormeSplit
     k1_witness: Representation
@@ -60,22 +63,44 @@ class SplitNode:
 CICertificate = Union[Leaf, SplitNode]
 
 
+# maps the digits of a binary numeral to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+@lru_cache(maxsize=4096)
+def _indices(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of mask, ascending.
+
+    A function of the mask alone, so every sequence length shares it, and
+    memoized certificates share the tuples it returns.  Past about 12
+    generators most calls miss the cache; reading the bits off the binary
+    numeral keeps a miss cheaper than a Python loop over the bits.
+    """
+    bits = format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
+    return tuple(compress(count(), bits))
+
+
 def _iter_bipartitions(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     # left part encoded as a bitmask over indices 0..m-1, ascending
-    for mask in range(1, (1 << m) - 1):
-        left = tuple(i for i in range(m) if mask >> i & 1)
-        right = tuple(i for i in range(m) if not mask >> i & 1)
-        yield left, right
+    full = (1 << m) - 1
+    for mask in range(1, full):
+        yield _indices(mask), _indices(full ^ mask)
 
 
 def _iter_splits(entries: tuple[int, ...]) -> Iterator[DelormeSplit]:
-    """All valid splits in canonical order: left bitmask asc, k1 desc, k2 desc."""
+    """All valid splits in canonical order: left bitmask ascending, then k1
+    descending, then k2 descending.
+
+    k1 runs over the divisors of the left side's gcd and k2 over those of
+    the right side's; each pair with gcd(k1, k2) = 1 costs the membership
+    query k1 in <right reduced>, and k2 in <left reduced> if that holds.
+    """
+    value = entries.__getitem__
     for left, right in _iter_bipartitions(len(entries)):
-        left_vals = tuple(entries[i] for i in left)
-        right_vals = tuple(entries[i] for i in right)
-        gl = gcd(*left_vals)
+        left_vals = tuple(map(value, left))
+        right_vals = tuple(map(value, right))
         gr = gcd(*right_vals)
-        for k1 in reversed(divisors(gl)):
+        for k1 in reversed(divisors(gcd(*left_vals))):
             left_red = tuple(v // k1 for v in left_vals)
             for k2 in reversed(divisors(gr)):
                 if gcd(k1, k2) != 1:
@@ -103,11 +128,13 @@ _CI_MEMO: dict[tuple[int, ...], CICertificate | None] = {}
 
 
 def clear_caches() -> None:
-    """Empty the verdict memo and the membership tables.
+    """Empty the verdict memo, the split-side indices and the membership tables.
 
-    Answers do not depend on either cache; this only returns their memory.
+    Answers do not depend on any of these caches; this only returns their
+    memory.
     """
     _CI_MEMO.clear()
+    _indices.cache_clear()
     _clear_tables()
 
 
@@ -225,28 +252,59 @@ def certificate_to_dict(cert: CICertificate) -> dict:
     }
 
 
-def certificate_from_dict(data: dict) -> CICertificate:
+def _int_field(data: dict, key: str) -> int:
+    value = data[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _ints_field(data: dict, key: str) -> tuple[int, ...]:
+    value = data[key]
+    if not isinstance(value, (list, tuple)) or any(type(v) is not int for v in value):
+        raise TypeError(f"{key} must be a list of integers")
+    return tuple(value)
+
+
+def _from_dict(data: dict) -> CICertificate:
+    if not isinstance(data, dict):
+        raise TypeError(f"a certificate node must be an object, not {type(data).__name__}")
     if data["type"] == "leaf":
-        return Leaf(tuple(data["entries"]))
+        return Leaf(_ints_field(data, "entries"))
     if data["type"] != "split":
         raise ValueError(f"unknown certificate node type {data['type']!r}")
-    left_red = GeneratorSequence(tuple(data["left_reduced"]))
-    right_red = GeneratorSequence(tuple(data["right_reduced"]))
+    k1, k2 = _int_field(data, "k1"), _int_field(data, "k2")
+    left_red = GeneratorSequence(_ints_field(data, "left_reduced"))
+    right_red = GeneratorSequence(_ints_field(data, "right_reduced"))
     split = DelormeSplit(
-        tuple(data["left_indices"]),
-        tuple(data["right_indices"]),
-        data["k1"],
-        data["k2"],
+        _ints_field(data, "left_indices"),
+        _ints_field(data, "right_indices"),
+        k1,
+        k2,
         left_red,
         right_red,
     )
-    w1 = Representation(tuple(data["k1_witness"]), data["k1"], right_red.gens)
-    w2 = Representation(tuple(data["k2_witness"]), data["k2"], left_red.gens)
-    return SplitNode(
-        split, w1, w2,
-        certificate_from_dict(data["left"]),
-        certificate_from_dict(data["right"]),
-    )
+    w1 = Representation(_ints_field(data, "k1_witness"), k1, right_red.gens)
+    w2 = Representation(_ints_field(data, "k2_witness"), k2, left_red.gens)
+    return SplitNode(split, w1, w2, _from_dict(data["left"]), _from_dict(data["right"]))
+
+
+def certificate_from_dict(data: dict) -> CICertificate:
+    """Rebuild a certificate from the form certificate_to_dict gives.
+
+    Raises InvalidCertificateError on every structural defect: a node that
+    is not an object, a missing field, a field of the wrong type (integers
+    must be JSON integers, not booleans or floats), an unknown node type, a
+    reduced side that is not strictly increasing and positive, or nesting
+    too deep to rebuild.  Whether the tree certifies a given sequence is
+    left to verify_certificate.
+    """
+    try:
+        return _from_dict(data)
+    except KeyError as exc:
+        raise InvalidCertificateError(f"certificate field {exc} is missing") from None
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise InvalidCertificateError(f"malformed certificate: {exc}") from None
 
 
 def certificate_to_json(cert: CICertificate) -> str:
@@ -254,4 +312,10 @@ def certificate_to_json(cert: CICertificate) -> str:
 
 
 def certificate_from_json(text: str) -> CICertificate:
-    return certificate_from_dict(json.loads(text))
+    """Parse certificate_to_json's output; InvalidCertificateError when the
+    text is not JSON, nests too deep to parse, or is not a certificate."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidCertificateError(f"malformed certificate JSON: {exc}") from None
+    return certificate_from_dict(data)

@@ -22,4 +22,9 @@ class NotCompleteIntersectionError(CishiftError):
 
 
 class InvalidCertificateError(CishiftError):
-    """A certificate does not validate against the sequence it was given for."""
+    """A certificate is malformed, or does not validate against the sequence
+    it was given for.
+
+    certificate_from_dict and certificate_from_json raise it for every
+    structural defect of their input, bad or too deeply nested JSON included.
+    """

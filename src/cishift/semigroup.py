@@ -33,7 +33,7 @@ def _entries(gens: GensLike) -> tuple[int, ...]:
     return tuple(gens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Representation:
     """Non-negative coefficients with sum(c * g) == target over the given gens."""
 
@@ -75,6 +75,10 @@ MAX_TABLE_BYTES = 2**21
 # from outside leaves it too high, which only evicts sooner.
 _MEMBER_TABLES: OrderedDict[tuple[int, ...], bytes] = OrderedDict()
 _table_bytes = 0
+# bound once: OrderedDict.get through a module global is slower than a
+# plain dict's, and the hit path is the decider's hottest; _clear_tables
+# empties the same object, so the bound method stays valid
+_table_get = _MEMBER_TABLES.get
 
 
 def _member_bits(gens: tuple[int, ...], nbits: int) -> int:
@@ -101,7 +105,7 @@ def _member_bytes(gens: tuple[int, ...], nbytes: int) -> bytes:
 
 def _member_table(gens: tuple[int, ...], upto: int) -> bytes:
     global _table_bytes
-    table = _MEMBER_TABLES.get(gens)
+    table = _table_get(gens)
     need = (upto >> 3) + 1
     if table is not None and len(table) >= need:
         return table

@@ -45,7 +45,7 @@ class BaseSequence:
         return format_sequence(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratorSequence:
     """A strictly increasing sequence of semigroup generators g0 < ... < gm."""
 

@@ -49,7 +49,7 @@ class FactorizationSet:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BettiProfile:
     """Per-degree minimal generator counts and their total mu."""
 

@@ -1,14 +1,19 @@
 import dataclasses
 import itertools
+import json
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cishift import clear_caches
 from cishift.delorme import (
     Leaf,
     SplitNode,
+    _indices,
+    _iter_bipartitions,
+    certificate_from_dict,
     certificate_from_json,
     certificate_to_json,
     enumerate_splits,
@@ -16,6 +21,7 @@ from cishift.delorme import (
     is_complete_intersection,
     verify_certificate,
 )
+from cishift.errors import InvalidCertificateError
 from cishift.semigroup import Representation
 from cishift.seqcore import GeneratorSequence
 from cishift.toricoracle import is_ci_oracle
@@ -72,6 +78,27 @@ class TestEnumerateSplits:
                 assert gcd(s.k1, s.k2) == 1
                 assert tuple(v // s.k1 for v in left_vals) == s.left_reduced.gens
                 assert tuple(v // s.k2 for v in right_vals) == s.right_reduced.gens
+
+
+class TestBipartitions:
+    def test_order_matches_bitmask_reference(self):
+        for m in range(1, 13):
+            reference = [
+                (
+                    tuple(i for i in range(m) if mask >> i & 1),
+                    tuple(i for i in range(m) if not mask >> i & 1),
+                )
+                for mask in range(1, (1 << m) - 1)
+            ]
+            assert list(_iter_bipartitions(m)) == reference, m
+
+    def test_side_index_cache_bounded_and_cleared(self):
+        clear_caches()
+        assert ci(tuple(range(100, 114))) is None  # 2^14 - 2 bipartitions
+        info = _indices.cache_info()
+        assert 0 < info.currsize <= info.maxsize
+        clear_caches()
+        assert _indices.cache_info().currsize == 0
 
 
 class TestDecision:
@@ -228,6 +255,79 @@ class TestSerialization:
         text = format_certificate(cert)
         assert text.startswith("31·(1) ⊔ 4·(7,9,12)")
         assert format_certificate(ci((2, 3))) == "(2,3)"
+
+
+# JSON values of every type; a field is retyped to one its schema rejects
+JSON_VALUES = (None, True, 1.5, "x", 7, [7], ["x"], [1.5], {})
+DELETED = object()
+
+
+def _retyped(key, value) -> bool:
+    if key in ("k1", "k2"):
+        return type(value) is not int
+    if key in ("type", "left", "right"):
+        return True  # none of JSON_VALUES is a node type or a node
+    return not (isinstance(value, list) and all(type(v) is int for v in value))
+
+
+def _nodes(tree):
+    yield tree
+    if tree["type"] == "split":
+        yield from _nodes(tree["left"])
+        yield from _nodes(tree["right"])
+
+
+def single_field_defects(tree):
+    """Copies of a certificate dict with one field of one node deleted or
+    retyped, for every node and field."""
+    text = json.dumps(tree)
+    for i, node in enumerate(_nodes(tree)):
+        for key in node:
+            for value in (DELETED, *JSON_VALUES):
+                if value is not DELETED and not _retyped(key, value):
+                    continue
+                bad = json.loads(text)
+                target = list(_nodes(bad))[i]
+                if value is DELETED:
+                    del target[key]
+                else:
+                    target[key] = value
+                yield bad
+
+
+class TestMalformedCertificate:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"type": "split"}',
+            "[1]",
+            '{"type": "leaf", "entries": 5}',
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["missing-fields", "not-an-object", "mistyped-entries", "deeply-nested"],
+    )
+    def test_raises_invalid_certificate(self, text):
+        with pytest.raises(InvalidCertificateError):
+            certificate_from_json(text)
+
+    def test_not_json(self):
+        with pytest.raises(InvalidCertificateError):
+            certificate_from_json("{not json")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 40), min_size=3, max_size=5, unique=True)
+        .map(lambda xs: tuple(sorted(xs)))
+        .filter(lambda g: gcd(*g) == 1)
+    )
+    def test_every_deleted_or_retyped_field_raises(self, gens):
+        cert = ci(gens)
+        assume(isinstance(cert, SplitNode))
+        for bad in single_field_defects(json.loads(certificate_to_json(cert))):
+            with pytest.raises(InvalidCertificateError):
+                certificate_from_dict(bad)
+            with pytest.raises(InvalidCertificateError):
+                certificate_from_json(json.dumps(bad))
 
 
 class TestOracleAgreementDeskScale:

@@ -120,6 +120,18 @@ class TestCertificateGolden:
     def test_certificates_unchanged_under_one_table_cap(self, one_table_cap):
         assert self.digest() == self.DIGEST
 
+    def test_memo_memory_bounded(self):
+        # what the caches keep after a cold pass: the verdict memo with its
+        # 3,695 entries, the side indices and the (tiny) membership tables
+        clear_caches()
+        tracemalloc.start()
+        try:
+            self.digest()
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert current < 2.4 * 2**20
+
 
 def table_bytes() -> int:
     return sum(map(len, semigroup._MEMBER_TABLES.values()))

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from cishift import clear_caches, semigroup
-from cishift.delorme import Leaf
+from cishift.delorme import Leaf, certificate_to_json
 from cishift.errors import (
     InvalidCertificateError,
     NotCompleteIntersectionError,
@@ -221,6 +223,24 @@ class TestLargeShifts:
                 members.append(j)
         if base == (11, 16, 28):
             assert members == [j for j in range(J + 1, J + 57) if j % 28 == 0]
+
+
+class TestShiftCertificateDigest:
+    # SHA-256 of the ci_at certificate JSON ("null" when not CI), one line
+    # per shift j in (L, L + 2 a_n] for L = 1000 and 10000: 376 shifts of
+    # four paper bases, whose membership tables are j bits long
+    DIGEST = "c762981ba08df065bede532732ef3883461de58d8632555fc833d52cb178cdde"
+
+    def test_certificates_unchanged(self):
+        digest = hashlib.sha256()
+        for level in (1000, 10000):
+            for entries in ((11, 16, 28), (5, 13, 17, 28), (4, 18), (3, 8, 20)):
+                base = BaseSequence(entries)
+                for j in range(level + 1, level + 2 * base.period + 1):
+                    cert = ci_at(base, j)
+                    text = "null" if cert is None else certificate_to_json(cert)
+                    digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestMainTheoremWitness:
