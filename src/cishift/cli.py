@@ -14,7 +14,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from math import gcd
 
 from . import delorme, shiftscan, toricoracle
@@ -46,21 +45,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: exactly one command plus its options."""
-
-    command: str
-    sequence: tuple[int, ...] | None = None
-    j_from: int | None = None
-    j_to: int | None = None
-    threshold: int | None = None
-    bound: int | None = None
-    cap: int | None = None
-    fmt: str = "text"
-    seed: int = DEFAULT_SEED
-
-
 def _print_json(data) -> None:
     print(json.dumps(data, sort_keys=True))
 
@@ -80,17 +64,17 @@ def _refuse_costly_decision(seq: GeneratorSequence) -> None:
         )
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    seq = GeneratorSequence(cfg.sequence)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    seq = parse_gens(args.sequence)
     _refuse_costly_decision(seq)
     cert = delorme.is_complete_intersection(seq)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _print_json({
             "sequence": list(seq.gens),
             "ci": cert is not None,
             "certificate": delorme.certificate_to_dict(cert) if cert else None,
         })
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         print("sequence,ci,certificate")
         text = delorme.format_certificate(cert) if cert else ""
         print(f"\"{seq}\",{str(cert is not None).lower()},\"{text}\"")
@@ -108,7 +92,7 @@ def _scan_rows(base: BaseSequence, members: tuple[int, ...]) -> list[dict]:
     an = base.period
     for j in members:
         cert = shiftscan.ci_at(base, j)
-        anatomy = shiftscan.top_split_anatomy(cert) if cert else None
+        anatomy = shiftscan.top_split_anatomy(cert)
         rows.append({
             "j": j,
             "m": j // an if j % an == 0 else None,
@@ -118,11 +102,11 @@ def _scan_rows(base: BaseSequence, members: tuple[int, ...]) -> list[dict]:
     return rows
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    base = BaseSequence(cfg.sequence)
-    result = shiftscan.scan(base, cfg.j_from, cfg.j_to, budget=cfg.cap)
+def cmd_scan(args: argparse.Namespace) -> int:
+    base = parse_base(args.base)
+    result = shiftscan.scan(base, args.j_from, args.j_to, budget=args.cap)
     rows = _scan_rows(base, result.members)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _print_json({
             "base": list(base.entries),
             "j_from": result.j_from,
@@ -156,14 +140,12 @@ def _render_report_text(report: shiftscan.PeriodicityReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    base = BaseSequence(cfg.sequence)
-    report = shiftscan.eventual_report(
-        base, threshold=cfg.threshold, budget=cfg.cap
-    )
-    if cfg.fmt == "json":
+def cmd_report(args: argparse.Namespace) -> int:
+    base = parse_base(args.base)
+    report = shiftscan.eventual_report(base, threshold=args.threshold, budget=args.cap)
+    if args.format == "json":
         _print_json(shiftscan.report_to_dict(report))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         print("key,value")
         for key, value in shiftscan.report_to_dict(report).items():
             if isinstance(value, list):
@@ -174,12 +156,11 @@ def cmd_report(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    seq = GeneratorSequence(cfg.sequence)
-    profile = toricoracle.betti_profile(seq, cfg.bound)
-    if cfg.fmt == "json":
+def cmd_oracle(args: argparse.Namespace) -> int:
+    profile = toricoracle.betti_profile(parse_gens(args.sequence), args.bound)
+    if args.format == "json":
         _print_json(toricoracle.profile_to_dict(profile))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         print("degree,count")
         for degree, count in profile.counts:
             print(f"{degree},{count}")
@@ -192,15 +173,15 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    seq = GeneratorSequence(cfg.sequence)
+def cmd_compare(args: argparse.Namespace) -> int:
+    seq = parse_gens(args.sequence)
     _refuse_costly_decision(seq)
     cert = delorme.is_complete_intersection(seq)
     criterion_ci = cert is not None
-    mu = toricoracle.betti_profile(seq, cfg.bound).mu
+    mu = toricoracle.betti_profile(seq, args.bound).mu
     oracle_ci = mu == len(seq) - 1
     agree = criterion_ci == oracle_ci
-    if cfg.fmt == "json":
+    if args.format == "json":
         _print_json({
             "sequence": list(seq.gens),
             "criterion_ci": criterion_ci,
@@ -374,7 +355,7 @@ def _fixture_trap_low_threshold() -> tuple[bool, str]:
     return True, "threshold a_n wrongly sees eventual CI members (trap fires)"
 
 
-def cmd_verify_paper(cfg: RunConfig) -> int:
+def cmd_verify_paper(args: argparse.Namespace) -> int:
     fixtures = [
         ("example-family-ci", _fixture_family_ci),
         ("example-family-periodicity", _fixture_family_periodicity),
@@ -383,13 +364,13 @@ def cmd_verify_paper(cfg: RunConfig) -> int:
         ("example-converse-failure", _fixture_converse_failure),
         ("n2-criterion-sweep", _fixture_n2_sweep),
         ("n3-criterion-sweep", _fixture_n3_sweep),
-        ("oracle-agreement-sweep", lambda: _fixture_oracle_sweep(cfg.seed)),
+        ("oracle-agreement-sweep", lambda: _fixture_oracle_sweep(args.seed)),
         ("trap-n3-printed-pairing", _fixture_trap_printed_pairing),
         ("trap-low-threshold", _fixture_trap_low_threshold),
     ]
-    text = cfg.fmt == "text"
+    text = args.format == "text"
     if text:
-        print(f"seed: {cfg.seed}")
+        print(f"seed: {args.seed}")
     results = []
     for name, fn in fixtures:
         start = time.perf_counter()
@@ -399,7 +380,7 @@ def cmd_verify_paper(cfg: RunConfig) -> int:
         if text:
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({elapsed:.2f}s)")
     if not text:
-        _print_json({"seed": cfg.seed, "fixtures": results})
+        _print_json({"seed": args.seed, "fixtures": results})
     failures = [r["name"] for r in results if not r["ok"]]
     if failures:
         print(f"FAILED: {failures[0]}", file=sys.stderr)
@@ -425,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="decide CI for one generator sequence")
     p.add_argument("sequence", help="comma-separated generators, e.g. 28,31,36,48")
     add_format(p)
+    p.set_defaults(run=cmd_analyze)
 
     p = sub.add_parser("scan", help="list CI members of a shift window")
     p.add_argument("base", help="comma-separated base differences, e.g. 11,16,28")
@@ -432,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("j_to", type=int)
     add_format(p)
     p.add_argument("--cap", type=int, default=None, help="cost budget")
+    p.set_defaults(run=cmd_scan)
 
     p = sub.add_parser("report", help="eventual-periodicity report for a base")
     p.add_argument("base")
@@ -439,66 +422,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the default a_n^2 window start")
     add_format(p)
     p.add_argument("--cap", type=int, default=None, help="cost budget")
+    p.set_defaults(run=cmd_report)
 
     p = sub.add_parser("oracle", help="factorization-graph generator counts")
     p.add_argument("sequence")
     p.add_argument("--bound", type=int, default=None)
     add_format(p)
+    p.set_defaults(run=cmd_oracle)
 
     p = sub.add_parser("compare", help="criterion vs oracle on one sequence")
     p.add_argument("sequence")
     p.add_argument("--bound", type=int, default=None)
-    add_format(p)
+    add_format(p, ("text", "json"))
+    p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("verify-paper", help="run the worked-example fixture suite")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_format(p, ("text", "json"))
+    p.set_defaults(run=cmd_verify_paper)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    sequence = None
-    for attr in ("sequence", "base"):
-        text = getattr(args, attr, None)
-        if text is not None:
-            if attr == "base":
-                sequence = parse_base(text).entries
-            else:
-                sequence = parse_gens(text).gens
-    return RunConfig(
-        command=args.command,
-        sequence=sequence,
-        j_from=getattr(args, "j_from", None),
-        j_to=getattr(args, "j_to", None),
-        threshold=getattr(args, "threshold", None),
-        bound=getattr(args, "bound", None),
-        cap=getattr(args, "cap", None),
-        fmt=getattr(args, "format", "text"),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-    )
-
-
-_DISPATCH = {
-    "analyze": cmd_analyze,
-    "scan": cmd_scan,
-    "report": cmd_report,
-    "oracle": cmd_oracle,
-    "compare": cmd_compare,
-    "verify-paper": cmd_verify_paper,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _DISPATCH[cfg.command](cfg)
+        return args.run(args)
     except (WindowTooLargeError, CapExceededError, BoundTooSmallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

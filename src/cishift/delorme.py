@@ -5,6 +5,11 @@ k1*B1 disjoint-union k2*B2 with gcd(k1, k2) = 1, k1 in <B2>, k2 in <B1>,
 and both parts recursively complete intersections; sequences of length one
 or two always qualify.  The decision procedure returns a certificate tree
 that an independent verifier can re-check bottom-up.
+
+Both work on gcd-normalized sequences.  A valid split of one has gcd(B1) =
+gcd(B2) = 1, so k1 and k2 are the gcds of the two sides and the recursion
+never normalizes again: gcd(B1) divides every left entry, and k2 through the
+witness of k2 in <B1>, so every right entry too; likewise for B2.
 """
 
 from __future__ import annotations
@@ -159,10 +164,8 @@ def _decide(entries: tuple[int, ...]) -> CICertificate | None:
         return cert
     cert = None
     for split in _iter_splits(entries):
-        _, lred = normalize(split.left_reduced)
-        _, rred = normalize(split.right_reduced)
-        left_cert = _decide(lred.gens)
-        right_cert = _decide(rred.gens)
+        left_cert = _decide(split.left_reduced.gens)
+        right_cert = _decide(split.right_reduced.gens)
         if left_cert is None or right_cert is None:
             continue
         k1_witness = find_representation(split.k1, split.right_reduced)
@@ -212,9 +215,8 @@ def _verify(entries: tuple[int, ...], cert: CICertificate) -> bool:
         return False
     if w2.gens != split.left_reduced.gens or w2.target != split.k2 or not w2.is_valid():
         return False
-    _, lred = normalize(split.left_reduced)
-    _, rred = normalize(split.right_reduced)
-    return _verify(lred.gens, cert.left_cert) and _verify(rred.gens, cert.right_cert)
+    return (_verify(split.left_reduced.gens, cert.left_cert)
+            and _verify(split.right_reduced.gens, cert.right_cert))
 
 
 def format_certificate(cert: CICertificate) -> str:

@@ -39,7 +39,6 @@ from .errors import (
 from .semigroup import (
     Representation,
     divisors,
-    find_representation,
     find_representation_with_sum,
     is_member,
 )
@@ -215,6 +214,11 @@ def n2_criterion(a: int, b: int, j: int) -> N2Witness | None:
     with the cofactor correction described in the module docstring.  A
     returned witness satisfies k(j+a) = alpha*j + beta*(j+b) with
     alpha + beta = k.
+
+    That sum needs no fallback: with s = k/k' <= b, a representation of
+    (j+a)/k' by t terms, y of them (j+b)/k, satisfies (t - s)*j = s*a - y*b.
+    As j >= max(ab, b(b-a)), only t = s fits, except at j = ab with s = b,
+    where b - a copies of j/k and a of (j+b)/k have sum s as well.
     """
     if not 0 < a < b:
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
@@ -230,9 +234,7 @@ def n2_criterion(a: int, b: int, j: int) -> N2Witness | None:
             if not is_member(target, pair):
                 continue
             rep = find_representation_with_sum(target, pair, k // kp)
-            if rep is None:
-                rep = find_representation(target, pair)
-                assert rep is not None
+            assert rep is not None
             alpha, beta = (kp * c for c in rep.coefficients)
             s_gcd = gcd(a, b - a)
             witness = N2Witness(a, b, j, k, alpha, beta, s_gcd)

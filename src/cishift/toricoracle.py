@@ -184,11 +184,7 @@ def _refuse_oversized(entries: tuple[int, ...], bits: int) -> None:
 
 
 def betti_profile(
-    gens: GensLike,
-    bound: int | None = None,
-    *,
-    cap: int = DEFAULT_FACTORIZATION_CAP,
-    engine: str = "graph",
+    gens: GensLike, bound: int | None = None, *, engine: str = "graph"
 ) -> BettiProfile:
     """Count minimal generators per degree up to a bound, then guard-check.
 
@@ -232,7 +228,7 @@ def betti_profile(
     elif engine == "enumerate":
         disconnected = {}
         for b in range(1, upto + 1):
-            fset = factorizations(b, rgens, cap)
+            fset = factorizations(b, rgens, DEFAULT_FACTORIZATION_CAP)
             comps = graph_components(fset) if len(fset) >= 2 else 1
             if comps > 1:
                 disconnected[b] = comps - 1

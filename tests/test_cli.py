@@ -199,7 +199,9 @@ class TestVerifyPaper:
             assert set(f) == {"name", "ok", "detail", "seconds"}
             assert f["ok"] is True and f["detail"] and f["seconds"] >= 0
 
-    def test_csv_format_rejected(self, capsys):
+    @pytest.mark.parametrize("command", [["verify-paper"], ["compare", "4,6,9"]],
+                             ids=["verify-paper", "compare"])
+    def test_csv_format_rejected(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            main(["verify-paper", "--format", "csv"])
+            main(command + ["--format", "csv"])
         assert exc.value.code == 2

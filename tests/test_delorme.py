@@ -67,7 +67,7 @@ class TestEnumerateSplits:
             assert keys == sorted(keys), gens
 
     def test_splits_validate(self):
-        for gens in [(4, 6, 9), (28, 31, 36, 48), (2, 3, 6)]:
+        for gens in [(4, 6, 9), (28, 31, 36, 48), (2, 3, 6), (12, 18, 20, 27)]:
             entries = GeneratorSequence(gens)
             for s in enumerate_splits(entries):
                 left_vals = [entries.gens[i] for i in s.left_indices]
@@ -78,6 +78,9 @@ class TestEnumerateSplits:
                 assert gcd(s.k1, s.k2) == 1
                 assert tuple(v // s.k1 for v in left_vals) == s.left_reduced.gens
                 assert tuple(v // s.k2 for v in right_vals) == s.right_reduced.gens
+                # on a gcd-1 sequence both reduced sides have gcd 1
+                assert s.k1 == gcd(*left_vals) and s.k2 == gcd(*right_vals)
+                assert gcd(*s.left_reduced.gens) == gcd(*s.right_reduced.gens) == 1
 
 
 class TestBipartitions:
