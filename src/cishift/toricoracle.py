@@ -12,10 +12,11 @@ Two interchangeable engines compute the per-degree component counts:
   generators g with b - g in the semigroup, with an edge g ~ h whenever
   b - g - h is in the semigroup.  Factorizations containing g form a clique,
   and two cliques meet exactly when such an edge exists, so both graphs have
-  the same component count.  It reads the big-integer membership mask of
-  the semigroup module, shifted by g and by g + h, and closes the graphs of
-  all degrees at once over the unordered generator pairs: n * C(n-1, 2)
-  big-integer AND/OR pairs for n generators.
+  the same component count.  It shifts the semigroup module's big-integer
+  membership mask by g and by g + h and closes the graphs of all degrees at
+  once: n * C(n-1, 2) AND/OR pairs for n generators.  Marking each component
+  at its smallest vertex, is_ci_oracle reads mu as the marks' popcount minus
+  that of their union, with no per-degree profile.
 * "enumerate" lists every factorization per degree (depth-first, subject to
   a cap) and unions them coordinate by coordinate, exactly mirroring the
   definition.  It exists as the slow reference path.
@@ -129,8 +130,8 @@ def graph_components(fset: FactorizationSet) -> int:
     return len({uf.find(i) for i in range(len(fset.vectors))})
 
 
-def _disconnected_degrees(gens: tuple[int, ...], mask: int, upto: int) -> dict[int, int]:
-    """{degree: components - 1} for every degree 1..upto with a disconnected graph.
+def _component_firsts(gens: tuple[int, ...], mask: int, upto: int) -> tuple[list[int], int, int]:
+    """(firsts, ones, twos) for the factorization graphs of degrees 1..upto.
 
     `mask` is the membership mask of gens on at least 0..upto.  Bit b of
     reach[i][j] says whether generators i and j are joined at degree b (bit
@@ -139,7 +140,7 @@ def _disconnected_degrees(gens: tuple[int, ...], mask: int, upto: int) -> dict[i
     reach is symmetric and every edge mask lies inside the vertex masks of
     its ends, so the closure updates the pairs i < j off k only, writing
     both halves, and leaves the diagonal alone: n * C(n-1, 2) AND/OR pairs.
-    Each component is counted at its smallest vertex.
+    Each component is counted at its smallest vertex i, by bit b of firsts[i].
     """
     n = len(gens)
     full = (1 << (upto + 1)) - 1
@@ -167,6 +168,12 @@ def _disconnected_degrees(gens: tuple[int, ...], mask: int, upto: int) -> dict[i
         firsts.append(first)
         twos |= ones & first
         ones |= first
+    return firsts, ones, twos
+
+
+def _disconnected_degrees(gens: tuple[int, ...], mask: int, upto: int) -> dict[int, int]:
+    """{degree: components - 1} for every degree 1..upto with a disconnected graph."""
+    firsts, _, twos = _component_firsts(gens, mask, upto)
     out = {}
     while twos:
         b = twos.bit_length() - 1
@@ -183,6 +190,30 @@ def _refuse_oversized(entries: tuple[int, ...], bits: int) -> None:
         )
 
 
+def _prepare(seq: GeneratorSequence, bound: int | None) -> tuple:
+    """(d, rgens, B, upto, mask) for seq = d * rgens of at least two entries:
+    the degree bound B over rgens, its guard window (B, upto = B + max], and
+    the membership mask of rgens on at least 0..upto."""
+    d, reduced = normalize(seq)
+    rgens, gmax = reduced.gens, reduced.gens[-1]
+    if bound is None:
+        # one mask gives F and covers every degree up to F + 3*max, the guard
+        # window included; it has at most min*max + 2*max bits
+        _refuse_oversized(seq.gens, rgens[0] * gmax + 2 * gmax)
+        frob, mask = _frobenius_mask(rgens, 3 * gmax)
+        B = frob + 2 * gmax
+    else:
+        B, mask = bound // d, 0
+    upto = B + gmax
+    # the n(n+1)/2 reach masks of upto bits each take at most this many
+    _refuse_oversized(seq.gens, len(rgens) ** 2 * upto)
+    return d, rgens, B, upto, mask or _member_bits(rgens, upto + 1)
+
+
+def _beyond_bound(entries: tuple[int, ...], d: int, B: int, b: int) -> BoundTooSmallError:
+    return BoundTooSmallError(f"disconnected degree {b * d} beyond bound {B * d} for {entries}")
+
+
 def betti_profile(
     gens: GensLike, bound: int | None = None, *, engine: str = "graph"
 ) -> BettiProfile:
@@ -196,34 +227,15 @@ def betti_profile(
     are built: the membership mask is checked first, the reach masks once
     the bound is known.
     """
-    entries = _entries(gens)
-    d, reduced = normalize(GeneratorSequence(entries))
-    rgens = reduced.gens
-    gmax = rgens[-1]
-
+    seq = gens if isinstance(gens, GeneratorSequence) else GeneratorSequence(gens)
+    entries = seq.gens
     if bound is not None and bound < entries[-1]:
         raise ValueError(f"bound {bound} below max generator {entries[-1]}")
-
-    if len(rgens) == 1:
-        B = bound if bound is not None else entries[-1]
-        return BettiProfile(entries, B, (), 0)
-
-    if bound is None:
-        # one mask gives F and covers every degree up to F + 3*max, the guard
-        # window included; it has at most min*max + 2*max bits
-        _refuse_oversized(entries, rgens[0] * gmax + 2 * gmax)
-        frob, mask = _frobenius_mask(rgens, 3 * gmax)
-        B = frob + 2 * gmax
-    else:
-        B = bound // d
-        mask = None
-    upto = B + gmax  # guard window (B, B + gmax]
-    # the n(n+1)/2 reach masks of upto bits each take at most this many
-    _refuse_oversized(entries, len(rgens) ** 2 * upto)
+    if len(entries) == 1:
+        return BettiProfile(entries, bound if bound is not None else entries[0], (), 0)
+    d, rgens, B, upto, mask = _prepare(seq, bound)
 
     if engine == "graph":
-        if mask is None:
-            mask = _member_bits(rgens, upto + 1)
         disconnected = _disconnected_degrees(rgens, mask, upto)
     elif engine == "enumerate":
         disconnected = {}
@@ -237,21 +249,24 @@ def betti_profile(
 
     beyond = [b for b in disconnected if b > B]
     if beyond:
-        raise BoundTooSmallError(
-            f"disconnected degree {min(beyond) * d} beyond bound {B * d} for {entries}"
-        )
+        raise _beyond_bound(entries, d, B, min(beyond))
     counts = tuple(sorted((b * d, c) for b, c in disconnected.items()))
     mu = sum(c for _, c in counts)
     return BettiProfile(entries, B * d, counts, mu)
 
 
 def is_ci_oracle(gens: GensLike) -> bool:
-    """Complete intersection iff mu equals (number of generators) - 1."""
-    entries = _entries(gens)
-    if len(entries) <= 2:
+    """Complete intersection iff mu equals (number of generators) - 1.
+
+    Past two generators, equal to betti_profile(gens).mu == len(gens) - 1, errors included."""
+    seq = gens if isinstance(gens, GeneratorSequence) else GeneratorSequence(gens)
+    if len(seq) <= 2:
         return True
-    profile = betti_profile(entries)
-    return profile.mu == len(entries) - 1
+    d, rgens, B, upto, mask = _prepare(seq, None)
+    firsts, ones, twos = _component_firsts(rgens, mask, upto)
+    if beyond := twos >> (B + 1):
+        raise _beyond_bound(seq.gens, d, B, B + (beyond & -beyond).bit_length())
+    return sum(first.bit_count() for first in firsts) - ones.bit_count() == len(seq) - 1
 
 
 def profile_to_dict(profile: BettiProfile) -> dict:

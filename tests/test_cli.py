@@ -167,7 +167,7 @@ class TestCompare:
         assert code == 0
         assert "agree" in out
 
-    def test_csv_format(self, capsys):
+    def test_json_format(self, capsys):
         code, out, _ = run(capsys, "compare", "4,6,9", "--format", "json")
         data = json.loads(out)
         assert data["agree"] is True and data["mu"] == 2

@@ -169,9 +169,12 @@ class TestBettiProfile:
             raise AssertionError("a mask was built")
 
         monkeypatch.setattr(toricoracle, "_member_bits", refuse)
+        monkeypatch.setattr(toricoracle, "_frobenius_mask", refuse)
         for gens, bound in [((100000, 100001), None), ((3, 4, 5), MAX_ORACLE_BITS)]:
             with pytest.raises(CapExceededError):
                 betti_profile(gens, bound)
+        with pytest.raises(CapExceededError):
+            is_ci_oracle((100000, 100001, 100002))
 
     def test_cap_sized_by_the_real_bound(self):
         # shift j = 8177 of the base (11, 16, 28): 16 reach masks sized by
@@ -315,6 +318,44 @@ class TestIsCiOracle:
     )
     def test_examples(self, gens, expected):
         assert is_ci_oracle(gens) is expected
+
+    @pytest.mark.parametrize("gens", [(3, 2), (0,), (5, 5), (-1, 4)])
+    def test_invalid_short_input_rejected(self, gens):
+        with pytest.raises(ValueError):
+            is_ci_oracle(gens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 200), min_size=1, max_size=8).flatmap(
+            lambda xs: st.sampled_from([tuple(xs), tuple(sorted(set(xs)))])
+        )
+    )
+    def test_matches_profile(self, gens):
+        # common factors allowed; unsorted or repeated entries must raise alike
+        try:
+            expected = betti_profile(gens).mu == len(gens) - 1
+        except (BoundTooSmallError, CapExceededError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                is_ci_oracle(gens)
+        else:
+            assert is_ci_oracle(gens) is expected
+
+    @pytest.mark.parametrize("gens", [(3, 4, 5), (6, 8, 10)])
+    def test_guard_matches_profile(self, monkeypatch, gens):
+        # a Frobenius number 7 too small puts the Betti degrees 8, 9, 10 of
+        # (3, 4, 5) beyond the bound 5 but inside the guard window
+        frobenius_mask = toricoracle._frobenius_mask
+
+        def short(entries, extra):
+            frob, mask = frobenius_mask(entries, extra)
+            return frob - 7, mask
+
+        monkeypatch.setattr(toricoracle, "_frobenius_mask", short)
+        with pytest.raises(BoundTooSmallError) as profile_error:
+            betti_profile(gens)
+        with pytest.raises(BoundTooSmallError) as oracle_error:
+            is_ci_oracle(gens)
+        assert str(oracle_error.value) == str(profile_error.value)
 
 
 class TestProfileSerialization:
