@@ -157,7 +157,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    profile = toricoracle.betti_profile(parse_gens(args.sequence), args.bound)
+    profile = toricoracle.betti_profile(parse_gens(args.sequence))
     if args.format == "json":
         _print_json(toricoracle.profile_to_dict(profile))
     elif args.format == "csv":
@@ -178,7 +178,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _refuse_costly_decision(seq)
     cert = delorme.is_complete_intersection(seq)
     criterion_ci = cert is not None
-    mu = toricoracle.betti_profile(seq, args.bound).mu
+    mu = toricoracle.betti_profile(seq).mu
     oracle_ci = mu == len(seq) - 1
     agree = criterion_ci == oracle_ci
     if args.format == "json":
@@ -426,13 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="factorization-graph generator counts")
     p.add_argument("sequence")
-    p.add_argument("--bound", type=int, default=None)
     add_format(p)
     p.set_defaults(run=cmd_oracle)
 
     p = sub.add_parser("compare", help="criterion vs oracle on one sequence")
     p.add_argument("sequence")
-    p.add_argument("--bound", type=int, default=None)
     add_format(p, ("text", "json"))
     p.set_defaults(run=cmd_compare)
 

@@ -28,14 +28,18 @@ import json
 from dataclasses import dataclass
 
 from .errors import BoundTooSmallError, CapExceededError
-from .semigroup import GensLike, _entries, _frobenius_mask, _member_bits
+from .semigroup import GensLike, _entries, _frobenius_mask
 from .seqcore import GeneratorSequence, normalize
 
 DEFAULT_FACTORIZATION_CAP = 50_000
 
-# betti_profile refuses an input whose membership mask, or whose len(gens)^2
-# reach masks sized by the degree bound, would hold more bits than this
+# the oracle refuses an input whose membership mask, or whose len(gens)^2
+# reach masks sized by the degree bound, would hold more bits than this,
 MAX_ORACLE_BITS = 1 << 30
+# or whose closure, about len(gens)^3 times the reach mask length in bit
+# operations, would take more: intervals 160..319 and 200..399 take 0.25 s
+# (4.6e9) and 0.6 s (1.1e10) on one core
+MAX_CLOSURE_WORK = 1 << 33
 
 
 @dataclass(frozen=True)
@@ -182,58 +186,49 @@ def _disconnected_degrees(gens: tuple[int, ...], mask: int, upto: int) -> dict[i
     return out
 
 
-def _refuse_oversized(entries: tuple[int, ...], bits: int) -> None:
-    if bits > MAX_ORACLE_BITS:
+def _refuse_oversized(entries: tuple[int, ...], amount: int, limit: int, unit: str) -> None:
+    if amount > limit:
         raise CapExceededError(
-            f"oracle for {entries} needs about {bits} mask bits, "
-            f"more than {MAX_ORACLE_BITS}"
+            f"oracle for {entries} needs about {amount} {unit}, more than {limit}"
         )
 
 
-def _prepare(seq: GeneratorSequence, bound: int | None) -> tuple:
-    """(d, rgens, B, upto, mask) for seq = d * rgens of at least two entries:
-    the degree bound B over rgens, its guard window (B, upto = B + max], and
-    the membership mask of rgens on at least 0..upto."""
+def _prepare(seq: GeneratorSequence) -> tuple:
+    """(d, rgens, B, upto, mask) for seq = d * rgens: the degree bound
+    B = F + 2*max over rgens, its guard window (B, upto = B + max], and the
+    membership mask of rgens on at least 0..upto."""
     d, reduced = normalize(seq)
     rgens, gmax = reduced.gens, reduced.gens[-1]
-    if bound is None:
-        # one mask gives F and covers every degree up to F + 3*max, the guard
-        # window included; it has at most min*max + 2*max bits
-        _refuse_oversized(seq.gens, rgens[0] * gmax + 2 * gmax)
-        frob, mask = _frobenius_mask(rgens, 3 * gmax)
-        B = frob + 2 * gmax
-    else:
-        B, mask = bound // d, 0
+    # one mask gives F and covers every degree up to F + 3*max, the guard
+    # window included; it has at most min*max + 2*max bits
+    _refuse_oversized(seq.gens, rgens[0] * gmax + 2 * gmax, MAX_ORACLE_BITS, "mask bits")
+    frob, mask = _frobenius_mask(rgens, 3 * gmax)
+    B = frob + 2 * gmax
     upto = B + gmax
-    # the n(n+1)/2 reach masks of upto bits each take at most this many
-    _refuse_oversized(seq.gens, len(rgens) ** 2 * upto)
-    return d, rgens, B, upto, mask or _member_bits(rgens, upto + 1)
+    n = len(rgens)  # n(n+1)/2 reach masks of upto bits, then the closure
+    _refuse_oversized(seq.gens, n * n * upto, MAX_ORACLE_BITS, "mask bits")
+    _refuse_oversized(seq.gens, n**3 * upto, MAX_CLOSURE_WORK, "closure bit operations")
+    return d, rgens, B, upto, mask
 
 
 def _beyond_bound(entries: tuple[int, ...], d: int, B: int, b: int) -> BoundTooSmallError:
     return BoundTooSmallError(f"disconnected degree {b * d} beyond bound {B * d} for {entries}")
 
 
-def betti_profile(
-    gens: GensLike, bound: int | None = None, *, engine: str = "graph"
-) -> BettiProfile:
-    """Count minimal generators per degree up to a bound, then guard-check.
+def betti_profile(gens: GensLike, *, engine: str = "graph") -> BettiProfile:
+    """Count minimal generators per degree up to the bound, then guard-check.
 
-    The default bound is frobenius + 2*max over the gcd-normalized sequence.
-    A window of one extra max(gens) stretch past the bound must contain no
-    disconnected degree, otherwise BoundTooSmallError is raised; this keeps
-    an undersized bound from silently undercounting mu.  Inputs whose masks
-    would exceed MAX_ORACLE_BITS raise CapExceededError before those masks
-    are built: the membership mask is checked first, the reach masks once
-    the bound is known.
+    The bound is frobenius + 2*max over the gcd-normalized sequence: past it
+    every b - g - h is a member, which joins every pair of generators.  The
+    guard checks this: a window of one extra max(gens) stretch past the bound
+    must contain no disconnected degree, otherwise BoundTooSmallError is
+    raised.  Inputs over MAX_ORACLE_BITS or MAX_CLOSURE_WORK raise
+    CapExceededError before the masks are built: the membership mask is
+    checked first, the reach masks and the closure once the bound is known.
     """
     seq = gens if isinstance(gens, GeneratorSequence) else GeneratorSequence(gens)
     entries = seq.gens
-    if bound is not None and bound < entries[-1]:
-        raise ValueError(f"bound {bound} below max generator {entries[-1]}")
-    if len(entries) == 1:
-        return BettiProfile(entries, bound if bound is not None else entries[0], (), 0)
-    d, rgens, B, upto, mask = _prepare(seq, bound)
+    d, rgens, B, upto, mask = _prepare(seq)
 
     if engine == "graph":
         disconnected = _disconnected_degrees(rgens, mask, upto)
@@ -262,7 +257,7 @@ def is_ci_oracle(gens: GensLike) -> bool:
     seq = gens if isinstance(gens, GeneratorSequence) else GeneratorSequence(gens)
     if len(seq) <= 2:
         return True
-    d, rgens, B, upto, mask = _prepare(seq, None)
+    d, rgens, B, upto, mask = _prepare(seq)
     firsts, ones, twos = _component_firsts(rgens, mask, upto)
     if beyond := twos >> (B + 1):
         raise _beyond_bound(seq.gens, d, B, B + (beyond & -beyond).bit_length())

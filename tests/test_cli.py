@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 from cishift import delorme, shiftscan, toricoracle
-from cishift.cli import main
+from cishift.cli import build_parser, main
 from cishift.seqcore import GeneratorSequence
 
 
@@ -108,19 +111,22 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "7,9,12")
         assert code == 0
         assert "mu:    2" in out
+        code, out, _ = run(capsys, "oracle", "10,11,13")
+        assert code == 0
+        assert "mu:    3" in out
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "oracle", "3,4,5", "--format", "json")
         profile = toricoracle.profile_from_dict(json.loads(out))
         assert profile.mu == 3
 
-    def test_bad_bound_exit_two(self, capsys):
-        code, _, err = run(capsys, "oracle", "3,4,5", "--bound", "2")
-        assert code == 2
-
-    def test_guard_failure_exit_three(self, capsys):
-        code, _, err = run(capsys, "oracle", "2,3", "--bound", "4")
-        assert code == 3
+    def test_bound_flag_exit_two(self, capsys):
+        # the oracle sizes its own degree bound
+        for command in ("oracle", "compare"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "10,11,13", "--bound", "36"])
+            assert exc.value.code == 2
+            assert "--bound" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["oracle", "compare"])
@@ -130,6 +136,16 @@ def test_hostile_oracle_input_exits_three_fast(capsys, command):
     code, _, err = run(capsys, command, "100000,100001")
     assert code == 3
     assert "oracle" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_slow_oracle_closure_exits_three_fast(capsys):
+    # 450 generators pass both mask checks, but closing their reach masks
+    # would take about 14 s
+    start = time.perf_counter()
+    code, _, err = run(capsys, "oracle", ",".join(map(str, range(450, 900))))
+    assert code == 3
+    assert "closure" in err
     assert time.perf_counter() - start < 1.0
 
 
@@ -205,3 +221,23 @@ class TestVerifyPaper:
         with pytest.raises(SystemExit) as exc:
             main(command + ["--format", "csv"])
         assert exc.value.code == 2
+
+
+def test_readme_flags_match_parser():
+    # every --flag named in README's "Command line" section is accepted by
+    # some subcommand, and every subcommand option is named there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    accepted = {
+        flag
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert documented == accepted

@@ -14,7 +14,6 @@ from cishift.errors import BoundTooSmallError, CapExceededError
 from cishift.semigroup import _member_bits, frobenius
 from cishift.seqcore import GeneratorSequence
 from cishift.toricoracle import (
-    MAX_ORACLE_BITS,
     _disconnected_degrees,
     betti_profile,
     factorizations,
@@ -90,19 +89,25 @@ class TestGraphComponents:
 
 class TestBettiProfile:
     def test_two_three(self):
-        profile = betti_profile((2, 3), 20)
+        profile = betti_profile((2, 3))
         assert profile.counts_dict() == {6: 1}
         assert profile.mu == 1
 
     def test_345(self):
-        profile = betti_profile((3, 4, 5), 40)
+        profile = betti_profile((3, 4, 5))
         assert profile.mu == 3
         assert set(profile.counts_dict()) == {8, 9, 10}
 
     def test_7912(self):
-        profile = betti_profile((7, 9, 12), 150)
+        profile = betti_profile((7, 9, 12))
         assert profile.mu == 2
         assert profile.counts_dict() == {21: 1, 36: 1}
+
+    def test_10_11_13(self):
+        # a caller-chosen bound of 36 used to drop the degrees 50 and 52
+        profile = betti_profile((10, 11, 13))
+        assert profile.counts_dict() == {33: 1, 50: 1, 52: 1}
+        assert profile.mu == 3
 
     def test_engines_agree(self):
         # the last case has six generators, more than the other cases
@@ -132,14 +137,6 @@ class TestBettiProfile:
                     continue
                 assert betti_profile(comb).mu >= n - 1, comb
 
-    def test_bound_too_small(self):
-        with pytest.raises(BoundTooSmallError):
-            betti_profile((2, 3), 4)
-
-    def test_bound_below_max_rejected(self):
-        with pytest.raises(ValueError):
-            betti_profile((3, 4, 5), 4)
-
     def test_deterministic(self):
         runs = {betti_profile((5, 7, 9, 11)) for _ in range(3)}
         assert len(runs) == 1
@@ -161,18 +158,30 @@ class TestBettiProfile:
         # the Frobenius mask alone would take 1e10 bits
         with pytest.raises(CapExceededError):
             betti_profile((100000, 100001))
+        # 600 generators: a small Frobenius mask, but 600^2 reach masks of
+        # 4,196 bits each
         with pytest.raises(CapExceededError):
-            betti_profile((3, 4, 5), MAX_ORACLE_BITS)
+            betti_profile(tuple(range(600, 1200)))
 
     def test_oversized_input_builds_no_mask(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a mask was built")
 
-        monkeypatch.setattr(toricoracle, "_member_bits", refuse)
+        # the reach masks are built by the closure, after every refusal
+        monkeypatch.setattr(toricoracle, "_component_firsts", refuse)
+        for gens, unit in [
+            (tuple(range(600, 1200)), "mask bits"),
+            # the reach masks fit, but closing them would take 450^3 * 3,146
+            # bit operations
+            (tuple(range(450, 900)), "closure bit operations"),
+        ]:
+            with pytest.raises(CapExceededError, match=unit):
+                betti_profile(gens)
+            with pytest.raises(CapExceededError, match=unit):
+                is_ci_oracle(gens)
         monkeypatch.setattr(toricoracle, "_frobenius_mask", refuse)
-        for gens, bound in [((100000, 100001), None), ((3, 4, 5), MAX_ORACLE_BITS)]:
-            with pytest.raises(CapExceededError):
-                betti_profile(gens, bound)
+        with pytest.raises(CapExceededError):
+            betti_profile((100000, 100001))
         with pytest.raises(CapExceededError):
             is_ci_oracle((100000, 100001, 100002))
 
@@ -267,6 +276,21 @@ class TestOracleProperties:
         seq = GeneratorSequence(tuple(sorted(entries)))
         assert (is_complete_intersection(seq) is not None) == is_ci_oracle(seq)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, 60), min_size=2, max_size=6, unique=True)
+        .map(lambda xs: tuple(sorted(xs)))
+        .filter(lambda g: gcd(*g) == 1)
+    )
+    def test_default_bound_misses_nothing(self, gens):
+        # no degree past the bound has a disconnected graph, looking twice
+        # as far as the guard window does
+        bound = betti_profile(gens).bound
+        assert bound == frobenius(gens) + 2 * gens[-1]
+        upto = 2 * (bound + gens[-1])
+        mask = _member_bits(gens, upto + 1)
+        assert max(_disconnected_degrees(gens, mask, upto), default=0) <= bound
+
 
 class TestProfileGolden:
     # SHA-256 of the profile JSON, one line per gcd-1 sequence of length 3
@@ -284,11 +308,9 @@ class TestProfileGolden:
 
 
 class TestSeededProfileGolden:
-    # SHA-256 of one line per seeded input: the profile JSON, or the name of
-    # the exception raised.  600 inputs of 2..8 entries on 1..200, common
-    # factors allowed, 30% of them with a random bound (10 raise
-    # BoundTooSmallError)
-    DIGEST = "801dd3f3e2e014c980ee869965ff1c01204fa62b6c9cc812444e2e89eb58cfaf"
+    # SHA-256 of the profile JSON, one line per seeded input: 600 inputs of
+    # 2..8 entries on 1..200, common factors allowed (none raises)
+    DIGEST = "a345c23437eaef92c8b1b7fdf7880d22105d276f6ec7eb621413813c6576367f"
 
     def test_profiles_and_errors_unchanged(self):
         rng = random.Random(600)
@@ -296,12 +318,7 @@ class TestSeededProfileGolden:
         for _ in range(600):
             n = rng.randint(2, 8)
             gens = tuple(sorted(rng.sample(range(1, 201), n)))
-            bound = rng.randint(gens[-1], 4000) if rng.random() < 0.3 else None
-            try:
-                line = profile_to_json(betti_profile(gens, bound))
-            except (BoundTooSmallError, CapExceededError, ValueError) as exc:
-                line = type(exc).__name__
-            digest.update(line.encode() + b"\n")
+            digest.update(profile_to_json(betti_profile(gens)).encode() + b"\n")
         assert digest.hexdigest() == self.DIGEST
 
 
