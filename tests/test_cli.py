@@ -120,13 +120,27 @@ class TestOracle:
         profile = toricoracle.profile_from_dict(json.loads(out))
         assert profile.mu == 3
 
-    def test_bound_flag_exit_two(self, capsys):
-        # the oracle sizes its own degree bound
+    def test_bad_bound_exit_two(self, capsys):
+        # the oracle sizes its own degree bound, so any --bound is a usage error
         for command in ("oracle", "compare"):
             with pytest.raises(SystemExit) as exc:
                 main([command, "10,11,13", "--bound", "36"])
             assert exc.value.code == 2
             assert "--bound" in capsys.readouterr().err
+
+    def test_guard_failure_exit_three(self, capsys, monkeypatch):
+        # undersize the bound the oracle sizes itself: (2, 3) is disconnected
+        # at degree 6, past a bound of 4, so the guard fires
+        prepare = toricoracle._prepare
+
+        def undersized(seq):
+            d, rgens, _, _, mask = prepare(seq)
+            return d, rgens, 4, 4 + rgens[-1], mask
+
+        monkeypatch.setattr(toricoracle, "_prepare", undersized)
+        code, _, err = run(capsys, "oracle", "2,3")
+        assert code == 3
+        assert "beyond bound 4" in err
 
 
 @pytest.mark.parametrize("command", ["oracle", "compare"])
