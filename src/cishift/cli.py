@@ -30,12 +30,11 @@ from .seqcore import (
 DEFAULT_SEED = 1729
 
 # analyze and compare refuse inputs the decider cannot finish fast.  It
-# builds membership tables as long as the largest entry for several sides,
-# and past semigroup.MAX_TABLE_BYTES rebuilds them when asked again, so its
-# memory and time grow with generators x largest entry (consecutive entries
-# from 2^27: 127 MiB at 3, 135 MiB at 4 and at 6; at most 108 MiB and
-# 4.4 s with the product at 3 * 2^27), and it tries 2^m bipartitions of m
-# generators (m = 16 takes 1 s, m = 18 up to 6.6 s).
+# builds membership masks as long as the largest entry for several sides,
+# so its memory and time grow with generators x largest entry (consecutive
+# entries from 2^27: 110 MiB at 3, 118 MiB at 4 and at 6; at most 112 MiB
+# and 3.4 s with the product at 3 * 2^27), and it tries 2^m bipartitions
+# of m generators (m = 16 takes 0.8 s, m = 18 3.2 s).
 MAX_DECIDE_SIZE = 3 << 27
 MAX_DECIDE_GENS = 17
 

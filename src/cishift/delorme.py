@@ -24,7 +24,6 @@ from typing import Iterator, Union
 from .errors import InvalidCertificateError
 from .semigroup import (
     Representation,
-    _clear_tables,
     divisors,
     find_representation,
     is_member,
@@ -133,14 +132,12 @@ _CI_MEMO: dict[tuple[int, ...], CICertificate | None] = {}
 
 
 def clear_caches() -> None:
-    """Empty the verdict memo, the split-side indices and the membership tables.
+    """Empty the verdict memo and the split-side indices.
 
-    Answers do not depend on any of these caches; this only returns their
-    memory.
+    Answers do not depend on either cache; this only returns their memory.
     """
     _CI_MEMO.clear()
     _indices.cache_clear()
-    _clear_tables()
 
 
 def is_complete_intersection(gens: GeneratorSequence) -> CICertificate | None:

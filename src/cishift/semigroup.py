@@ -9,15 +9,13 @@ from big-integer bitsets whose bit v stands for the value v:
   witness with coefficient sum t costs O(len(gens) * t) big-integer
   operations, however large the target.
 
-Membership tables grow on demand and are memoized per generator tuple.  On
-shift families a table is as long as the shift j, so the cache is bounded by
-total bytes (``MAX_TABLE_BYTES``) rather than by entry count.
+Nothing is kept between calls: each membership query builds its mask just
+long enough to reach its target, and drops it on return.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
@@ -63,24 +61,6 @@ def _check_positive(gens: tuple[int, ...]) -> None:
         raise ValueError(f"generators must be positive, got {gens}")
 
 
-# Total bytes of membership tables kept between calls.  An evicted table is
-# rebuilt when asked for again, so a smaller cap trades time for memory; a
-# table larger than the cap is still kept until the next miss.
-MAX_TABLE_BYTES = 2**21
-
-# membership tables, keyed by generator tuple: the little-endian bytes of
-# the mask from _member_bits, regrown to at least double the size on demand.
-# Kept in insertion order (a regrown table counts as newly inserted), so a
-# miss can evict the oldest.  _table_bytes is their total; an entry removed
-# from outside leaves it too high, which only evicts sooner.
-_MEMBER_TABLES: OrderedDict[tuple[int, ...], bytes] = OrderedDict()
-_table_bytes = 0
-# bound once: OrderedDict.get through a module global is slower than a
-# plain dict's, and the hit path is the decider's hottest; _clear_tables
-# empties the same object, so the bound method stays valid
-_table_get = _MEMBER_TABLES.get
-
-
 def _member_bits(gens: tuple[int, ...], nbits: int) -> int:
     """Bitmask integer with bit v set iff v is in the semigroup, v < nbits.
 
@@ -98,40 +78,13 @@ def _member_bits(gens: tuple[int, ...], nbits: int) -> int:
     return mask
 
 
-def _member_bytes(gens: tuple[int, ...], nbytes: int) -> bytes:
-    """The membership mask of values below 8 * nbytes, as little-endian bytes."""
-    return _member_bits(gens, 8 * nbytes).to_bytes(nbytes, "little")
-
-
-def _member_table(gens: tuple[int, ...], upto: int) -> bytes:
-    global _table_bytes
-    table = _table_get(gens)
-    need = (upto >> 3) + 1
-    if table is not None and len(table) >= need:
-        return table
-    # a miss: hits never reorder, so eviction is first-in, first-out
-    old_len = 0 if table is None else len(_MEMBER_TABLES.pop(gens))
-    table = _member_bytes(gens, max(need, 2 * old_len))
-    _MEMBER_TABLES[gens] = table
-    _table_bytes += len(table) - old_len
-    while _table_bytes > MAX_TABLE_BYTES and len(_MEMBER_TABLES) > 1:
-        _table_bytes -= len(_MEMBER_TABLES.popitem(last=False)[1])
-    return table
-
-
-def _clear_tables() -> None:
-    global _table_bytes
-    _MEMBER_TABLES.clear()
-    _table_bytes = 0
-
-
 def is_member(b: int, gens: GensLike) -> bool:
     """True iff b is a non-negative integer combination of the generators."""
     if b < 0:
         raise ValueError(f"membership target must be non-negative, got {b}")
     if b == 0:
         return True
-    return bool(_member_table(_entries(gens), b)[b >> 3] >> (b & 7) & 1)
+    return bool(_member_bits(_entries(gens), b + 1) >> b & 1)
 
 
 def _count_layers(b: int, gens: tuple[int, ...]):

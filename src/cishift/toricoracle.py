@@ -193,6 +193,12 @@ def _refuse_oversized(entries: tuple[int, ...], amount: int, limit: int, unit: s
         )
 
 
+def _refuse_closure(entries: tuple[int, ...], n: int, upto: int) -> None:
+    # n(n+1)/2 reach masks of upto bits, then the closure
+    _refuse_oversized(entries, n * n * upto, MAX_ORACLE_BITS, "mask bits")
+    _refuse_oversized(entries, n**3 * upto, MAX_CLOSURE_WORK, "closure bit operations")
+
+
 def _prepare(seq: GeneratorSequence) -> tuple:
     """(d, rgens, B, upto, mask) for seq = d * rgens: the degree bound
     B = F + 2*max over rgens, its guard window (B, upto = B + max], and the
@@ -202,12 +208,13 @@ def _prepare(seq: GeneratorSequence) -> tuple:
     # one mask gives F and covers every degree up to F + 3*max, the guard
     # window included; it has at most min*max + 2*max bits
     _refuse_oversized(seq.gens, rgens[0] * gmax + 2 * gmax, MAX_ORACLE_BITS, "mask bits")
+    # F >= -1, so upto >= 3*max - 1: refuse what the closure must refuse
+    # before building the mask that gives F
+    _refuse_closure(seq.gens, len(rgens), 3 * gmax - 1)
     frob, mask = _frobenius_mask(rgens, 3 * gmax)
     B = frob + 2 * gmax
     upto = B + gmax
-    n = len(rgens)  # n(n+1)/2 reach masks of upto bits, then the closure
-    _refuse_oversized(seq.gens, n * n * upto, MAX_ORACLE_BITS, "mask bits")
-    _refuse_oversized(seq.gens, n**3 * upto, MAX_CLOSURE_WORK, "closure bit operations")
+    _refuse_closure(seq.gens, len(rgens), upto)
     return d, rgens, B, upto, mask
 
 
@@ -223,8 +230,10 @@ def betti_profile(gens: GensLike, *, engine: str = "graph") -> BettiProfile:
     guard checks this: a window of one extra max(gens) stretch past the bound
     must contain no disconnected degree, otherwise BoundTooSmallError is
     raised.  Inputs over MAX_ORACLE_BITS or MAX_CLOSURE_WORK raise
-    CapExceededError before the masks are built: the membership mask is
-    checked first, the reach masks and the closure once the bound is known.
+    CapExceededError before the masks are built.  The membership mask is
+    checked first; then the reach masks and the closure, once sized by the
+    least possible guard window end 3*max - 1 before the membership mask is
+    built, and again once the bound is known.
     """
     seq = gens if isinstance(gens, GeneratorSequence) else GeneratorSequence(gens)
     entries = seq.gens

@@ -163,11 +163,22 @@ def test_slow_oracle_closure_exits_three_fast(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_wide_oracle_input_exits_three_before_any_mask(capsys):
+    # 2,000 generators: their Frobenius mask of 8 million bits passes the
+    # mask check but takes half a minute to build, and even the least
+    # possible bound makes the reach masks too large
+    start = time.perf_counter()
+    code, _, err = run(capsys, "oracle", ",".join(map(str, range(2000, 4000))))
+    assert code == 3
+    assert "mask bits" in err
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("command", ["analyze", "compare"])
 @pytest.mark.parametrize("sequence", [
-    # membership tables of 1e10 bits
+    # membership masks of 1e10 bits
     "10000000000,10000000001,10000000002",
-    # 17 entries near 2^25: each one small enough, their tables together not
+    # 17 entries near 2^25: each one small enough, their masks together not
     ",".join(str((1 << 25) + i) for i in range(17)),
     # 2^30 bipartitions
     ",".join(str(100 + 7 * i) for i in range(30)),

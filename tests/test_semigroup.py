@@ -5,10 +5,10 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cishift import clear_caches, semigroup
+from cishift import clear_caches
 from cishift.delorme import certificate_to_json, is_complete_intersection
 from cishift.semigroup import (
     divisors,
@@ -58,9 +58,6 @@ class TestBitsetProperties:
     @settings(max_examples=150, deadline=None)
     @given(gen_tuples, st.lists(st.integers(0, 2000), min_size=1, max_size=12))
     def test_member_matches_reachability(self, gens, queries):
-        # a fresh table, then queries in any order: each large query regrows
-        # the table, each later small one reads the grown table
-        semigroup._MEMBER_TABLES.pop(gens, None)
         reach = reachable(max(queries), gens)
         for b in queries:
             assert is_member(b, gens) == reach[b], (b, gens)
@@ -117,12 +114,9 @@ class TestCertificateGolden:
     def test_certificates_unchanged(self):
         assert self.digest() == self.DIGEST
 
-    def test_certificates_unchanged_under_one_table_cap(self, one_table_cap):
-        assert self.digest() == self.DIGEST
-
     def test_memo_memory_bounded(self):
         # what the caches keep after a cold pass: the verdict memo with its
-        # 3,695 entries, the side indices and the (tiny) membership tables
+        # 3,695 entries and the side indices
         clear_caches()
         tracemalloc.start()
         try:
@@ -133,50 +127,19 @@ class TestCertificateGolden:
         assert current < 2.4 * 2**20
 
 
-def table_bytes() -> int:
-    return sum(map(len, semigroup._MEMBER_TABLES.values()))
-
-
-def cap_tables(monkeypatch, cap):
-    monkeypatch.setattr(semigroup, "MAX_TABLE_BYTES", cap)
-    clear_caches()
-
-
-@pytest.fixture
-def one_table_cap(monkeypatch):
-    """A one-byte cap: every miss evicts all tables but the new one."""
-    cap_tables(monkeypatch, 1)
-    yield
-    clear_caches()
-
-
 class TestTableCap:
-    # 512 bytes hold a few of these tables (up to 251 bytes each), so
-    # eviction leaves several behind
-    @pytest.mark.parametrize("cap", [1, 512])
-    @settings(max_examples=100, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # membership keeps no table between queries; these check its answers
+    # and the memory of deep scans and cold decides
+    @settings(max_examples=100, deadline=None)
     @given(st.lists(gen_tuples, min_size=3, max_size=4, unique=True),
            st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2000)),
                     min_size=1, max_size=30))
-    def test_member_matches_reachability_under_eviction(
-        self, monkeypatch, cap, tuples, queries
-    ):
-        # queries hop between tuples, so each tuple's table is evicted,
-        # rebuilt at the size asked for and regrown in turn
-        cap_tables(monkeypatch, cap)
+    def test_member_matches_reachability_across_tuples(self, tuples, queries):
+        # queries hop between tuples, large and small targets interleaved
         reach = [reachable(2000, gens) for gens in tuples]
         for which, b in queries:
-            gens = tuples[which % len(tuples)]
-            assert is_member(b, gens) == reach[which % len(tuples)][b]
-            assert gens in semigroup._MEMBER_TABLES
-            assert semigroup._table_bytes == table_bytes()
-            assert table_bytes() <= cap + len(semigroup._MEMBER_TABLES[gens])
-        clear_caches()
-
-    def test_deep_scan_unchanged_under_one_table_cap(self, one_table_cap):
-        result = scan(BaseSequence((11, 16, 28)), 100_001, 100_056)
-        assert result.members == (100_016, 100_044)
+            i = which % len(tuples)
+            assert is_member(b, tuples[i]) == reach[i][b]
 
     def test_deep_scan_memory_bounded(self):
         clear_caches()
@@ -187,21 +150,22 @@ class TestTableCap:
         finally:
             tracemalloc.stop()
         assert result.members == (1_000_020, 1_000_048)
-        # uncapped, the tables alone reach 32 MiB here
+        # keeping one j-bit mask per generator tuple would reach 32 MiB here
         assert peak < 8 * 2**20
-        largest = max(map(len, semigroup._MEMBER_TABLES.values()))
-        assert table_bytes() <= semigroup.MAX_TABLE_BYTES + largest
-        assert semigroup._table_bytes == table_bytes()
 
-    def test_outside_removal_only_overcounts(self):
+    def test_cold_decide_memory_bounded(self):
+        # 2^15 bipartitions of 16 consecutive entries ask about tens of
+        # thousands of distinct sides; keeping a mask per side takes 17 MiB
         clear_caches()
-        assert semigroup._table_bytes == 0
-        for gens in [(3, 5), (4, 7), (5, 9)]:
-            is_member(5000, gens)
-        semigroup._MEMBER_TABLES.pop((4, 7))
-        assert semigroup._table_bytes > table_bytes()
-        is_member(10**5, (6, 11))
-        assert semigroup._table_bytes >= table_bytes()
+        tracemalloc.start()
+        try:
+            cert = is_complete_intersection(GeneratorSequence(tuple(range(100, 116))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            clear_caches()
+        assert cert is None
+        assert peak < 8 * 2**20
 
 
 class TestMembership:

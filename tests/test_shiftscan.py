@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from cishift import clear_caches, semigroup
+from cishift import clear_caches
 from cishift.delorme import Leaf, certificate_to_json
 from cishift.errors import (
     InvalidCertificateError,
@@ -59,16 +59,11 @@ class TestScan:
         result = scan(BaseSequence((11, 16, 28)), 100_001, 100_056)
         assert result.members == (100_016, 100_044)
 
-    def test_unchanged_by_cleared_and_evicted_caches(self, monkeypatch):
+    def test_unchanged_by_cleared_and_evicted_caches(self):
         base = BaseSequence((3, 5, 9))
         warm = scan(base, 80, 180)
         clear_caches()
         assert scan(base, 80, 180) == warm
-        # a one-byte cap keeps only the table built last
-        monkeypatch.setattr(semigroup, "MAX_TABLE_BYTES", 1)
-        clear_caches()
-        assert scan(base, 80, 180) == warm
-        assert len(semigroup._MEMBER_TABLES) == 1
 
     @pytest.mark.parametrize("jobs", [0, -5])
     def test_nonpositive_jobs_rejected(self, jobs):
@@ -228,7 +223,7 @@ class TestLargeShifts:
 class TestShiftCertificateDigest:
     # SHA-256 of the ci_at certificate JSON ("null" when not CI), one line
     # per shift j in (L, L + 2 a_n] for L = 1000 and 10000: 376 shifts of
-    # four paper bases, whose membership tables are j bits long
+    # four paper bases, whose membership masks are j bits long
     DIGEST = "c762981ba08df065bede532732ef3883461de58d8632555fc833d52cb178cdde"
 
     def test_certificates_unchanged(self):
