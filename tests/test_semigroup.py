@@ -130,14 +130,20 @@ class TestCertificateGolden:
 class TestTableCap:
     # membership keeps no table between queries; these check its answers
     # and the memory of deep scans and cold decides
+    @pytest.mark.parametrize("every", [1, 512])
     @settings(max_examples=100, deadline=None)
     @given(st.lists(gen_tuples, min_size=3, max_size=4, unique=True),
            st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2000)),
                     min_size=1, max_size=30))
-    def test_member_matches_reachability_across_tuples(self, tuples, queries):
-        # queries hop between tuples, large and small targets interleaved
+    def test_member_matches_reachability_under_eviction(self, every, tuples, queries):
+        # queries hop between tuples, large and small targets interleaved;
+        # all caches are emptied before every `every`-th query (1: before
+        # each one, 512: only before the first), which must not change
+        # any answer
         reach = [reachable(2000, gens) for gens in tuples]
-        for which, b in queries:
+        for k, (which, b) in enumerate(queries):
+            if k % every == 0:
+                clear_caches()
             i = which % len(tuples)
             assert is_member(b, tuples[i]) == reach[i][b]
 
