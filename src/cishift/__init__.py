@@ -14,7 +14,6 @@ from .delorme import (
     verify_certificate,
 )
 from .errors import (
-    BoundTooSmallError,
     CapExceededError,
     CishiftError,
     InvalidCertificateError,

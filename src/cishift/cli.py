@@ -2,8 +2,8 @@
 
 Commands: analyze, scan, report, oracle, compare, verify-paper.
 Exit codes: 0 success / CI / agreement; 1 negative verdict, disagreement, or
-fixture failure; 2 usage or parse errors; 3 cost-cap or oracle-bound errors,
-among them analyze/compare inputs too large for the decider.
+fixture failure; 2 usage or parse errors; 3 cost-cap errors, among them
+oracle and analyze/compare inputs too large to run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import time
 from math import gcd
 
 from . import delorme, shiftscan, toricoracle
-from .errors import BoundTooSmallError, CapExceededError, WindowTooLargeError
+from .errors import CapExceededError, WindowTooLargeError
 from .seqcore import (
     BaseSequence,
     GeneratorSequence,
@@ -445,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (WindowTooLargeError, CapExceededError, BoundTooSmallError) as exc:
+    except (WindowTooLargeError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

@@ -10,11 +10,8 @@ class WindowTooLargeError(CishiftError):
 
 
 class CapExceededError(CishiftError):
-    """A degree has more factorizations than the configured cap."""
-
-
-class BoundTooSmallError(CishiftError):
-    """The oracle's degree bound failed its guard-window check."""
+    """An input would exceed a cost cap: too many factorizations at one
+    degree, or oracle masks or decider work past their limits."""
 
 
 class NotCompleteIntersectionError(CishiftError):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import BoundTooSmallError, CapExceededError
+from .errors import CapExceededError
 from .semigroup import GensLike, _entries, _frobenius_mask
 from .seqcore import GeneratorSequence, normalize
 
@@ -188,9 +188,12 @@ def _disconnected_degrees(gens: tuple[int, ...], mask: int, upto: int) -> dict[i
 
 def _refuse_oversized(entries: tuple[int, ...], amount: int, limit: int, unit: str) -> None:
     if amount > limit:
-        raise CapExceededError(
-            f"oracle for {entries} needs about {amount} {unit}, more than {limit}"
-        )
+        if len(entries) > 8:
+            head = ", ".join(map(str, entries[:3]))
+            name = f"{len(entries)} generators ({head}, ..., {entries[-1]})"
+        else:
+            name = str(entries)
+        raise CapExceededError(f"oracle for {name} needs about {amount} {unit}, more than {limit}")
 
 
 def _refuse_closure(entries: tuple[int, ...], n: int, upto: int) -> None:
@@ -200,50 +203,40 @@ def _refuse_closure(entries: tuple[int, ...], n: int, upto: int) -> None:
 
 
 def _prepare(seq: GeneratorSequence) -> tuple:
-    """(d, rgens, B, upto, mask) for seq = d * rgens: the degree bound
-    B = F + 2*max over rgens, its guard window (B, upto = B + max], and the
-    membership mask of rgens on at least 0..upto."""
+    """(d, rgens, B, mask) for seq = d * rgens: the degree bound B = F + 2*max
+    over rgens and the membership mask of rgens on at least 0..B.  B suffices:
+    past it every b - g - h exceeds F, so every pair of generators is joined."""
     d, reduced = normalize(seq)
     rgens, gmax = reduced.gens, reduced.gens[-1]
-    # one mask gives F and covers every degree up to F + 3*max, the guard
-    # window included; it has at most min*max + 2*max bits
+    # one mask, of fewer than min*max + 2*max bits, gives F and covers 0..B
     _refuse_oversized(seq.gens, rgens[0] * gmax + 2 * gmax, MAX_ORACLE_BITS, "mask bits")
-    # F >= -1, so upto >= 3*max - 1: refuse what the closure must refuse
-    # before building the mask that gives F
+    # B >= 2*max - 1, but check at 3*max - 1 before building that mask, which
+    # has no cost cap of its own: 2000..2018, 500000 passes a check at
+    # 2*max - 1, then is still building a 1e9-bit mask after a minute
     _refuse_closure(seq.gens, len(rgens), 3 * gmax - 1)
-    frob, mask = _frobenius_mask(rgens, 3 * gmax)
+    frob, mask = _frobenius_mask(rgens, 2 * gmax)
     B = frob + 2 * gmax
-    upto = B + gmax
-    _refuse_closure(seq.gens, len(rgens), upto)
-    return d, rgens, B, upto, mask
-
-
-def _beyond_bound(entries: tuple[int, ...], d: int, B: int, b: int) -> BoundTooSmallError:
-    return BoundTooSmallError(f"disconnected degree {b * d} beyond bound {B * d} for {entries}")
+    _refuse_closure(seq.gens, len(rgens), B)
+    return d, rgens, B, mask
 
 
 def betti_profile(gens: GensLike, *, engine: str = "graph") -> BettiProfile:
-    """Count minimal generators per degree up to the bound, then guard-check.
+    """Count minimal generators per degree up to the bound frobenius + 2*max
+    over the gcd-normalized sequence (see _prepare).
 
-    The bound is frobenius + 2*max over the gcd-normalized sequence: past it
-    every b - g - h is a member, which joins every pair of generators.  The
-    guard checks this: a window of one extra max(gens) stretch past the bound
-    must contain no disconnected degree, otherwise BoundTooSmallError is
-    raised.  Inputs over MAX_ORACLE_BITS or MAX_CLOSURE_WORK raise
-    CapExceededError before the masks are built.  The membership mask is
-    checked first; then the reach masks and the closure, once sized by the
-    least possible guard window end 3*max - 1 before the membership mask is
-    built, and again once the bound is known.
+    Inputs over MAX_ORACLE_BITS or MAX_CLOSURE_WORK raise CapExceededError
+    before the masks are built: the membership mask is checked first, then
+    the reach masks and the closure, at 3*max - 1 before the membership mask
+    is built and again at the bound.
     """
     seq = gens if isinstance(gens, GeneratorSequence) else GeneratorSequence(gens)
-    entries = seq.gens
-    d, rgens, B, upto, mask = _prepare(seq)
+    d, rgens, B, mask = _prepare(seq)
 
     if engine == "graph":
-        disconnected = _disconnected_degrees(rgens, mask, upto)
+        disconnected = _disconnected_degrees(rgens, mask, B)
     elif engine == "enumerate":
         disconnected = {}
-        for b in range(1, upto + 1):
+        for b in range(1, B + 1):
             fset = factorizations(b, rgens, DEFAULT_FACTORIZATION_CAP)
             comps = graph_components(fset) if len(fset) >= 2 else 1
             if comps > 1:
@@ -251,12 +244,9 @@ def betti_profile(gens: GensLike, *, engine: str = "graph") -> BettiProfile:
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
-    beyond = [b for b in disconnected if b > B]
-    if beyond:
-        raise _beyond_bound(entries, d, B, min(beyond))
     counts = tuple(sorted((b * d, c) for b, c in disconnected.items()))
     mu = sum(c for _, c in counts)
-    return BettiProfile(entries, B * d, counts, mu)
+    return BettiProfile(seq.gens, B * d, counts, mu)
 
 
 def is_ci_oracle(gens: GensLike) -> bool:
@@ -266,10 +256,8 @@ def is_ci_oracle(gens: GensLike) -> bool:
     seq = gens if isinstance(gens, GeneratorSequence) else GeneratorSequence(gens)
     if len(seq) <= 2:
         return True
-    d, rgens, B, upto, mask = _prepare(seq)
-    firsts, ones, twos = _component_firsts(rgens, mask, upto)
-    if beyond := twos >> (B + 1):
-        raise _beyond_bound(seq.gens, d, B, B + (beyond & -beyond).bit_length())
+    _, rgens, B, mask = _prepare(seq)
+    firsts, ones, _ = _component_firsts(rgens, mask, B)
     return sum(first.bit_count() for first in firsts) - ones.bit_count() == len(seq) - 1
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cishift import toricoracle
 from cishift.delorme import is_complete_intersection
-from cishift.errors import BoundTooSmallError, CapExceededError
+from cishift.errors import CapExceededError
 from cishift.semigroup import _member_bits, frobenius
 from cishift.seqcore import GeneratorSequence
 from cishift.toricoracle import (
@@ -169,17 +169,21 @@ class TestBettiProfile:
 
         # the reach masks are built by the closure, after every refusal
         monkeypatch.setattr(toricoracle, "_component_firsts", refuse)
+        monkeypatch.setattr(toricoracle, "_frobenius_mask", refuse)
         for gens, unit in [
             (tuple(range(600, 1200)), "mask bits"),
-            # the reach masks fit, but closing them would take 450^3 * 3,146
+            # the reach masks fit, but closing them would take 450^3 * 2,247
             # bit operations
             (tuple(range(450, 900)), "closure bit operations"),
+            # refused only because the check before the Frobenius mask sizes
+            # the closure at 3*max - 1, not at the least bound 2*max - 1: that
+            # mask would take 1e9 bits and over a minute to build
+            (tuple(range(2000, 2019)) + (500000,), "closure bit operations"),
         ]:
             with pytest.raises(CapExceededError, match=unit):
                 betti_profile(gens)
             with pytest.raises(CapExceededError, match=unit):
                 is_ci_oracle(gens)
-        monkeypatch.setattr(toricoracle, "_frobenius_mask", refuse)
         with pytest.raises(CapExceededError):
             betti_profile((100000, 100001))
         with pytest.raises(CapExceededError):
@@ -283,13 +287,22 @@ class TestOracleProperties:
         .filter(lambda g: gcd(*g) == 1)
     )
     def test_default_bound_misses_nothing(self, gens):
-        # no degree past the bound has a disconnected graph, looking twice
-        # as far as the guard window does
+        # no degree past the bound has a disconnected graph, looking out to
+        # twice the bound plus max
         bound = betti_profile(gens).bound
         assert bound == frobenius(gens) + 2 * gens[-1]
         upto = 2 * (bound + gens[-1])
         mask = _member_bits(gens, upto + 1)
         assert max(_disconnected_degrees(gens, mask, upto), default=0) <= bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(gcd_one_sequences.filter(lambda g: len(g) <= 5))
+    def test_one_component_past_the_bound(self, gens):
+        # the bound's proof, checked without the closure: on (B, B + max]
+        # every factorization graph is connected
+        bound = frobenius(gens) + 2 * gens[-1]
+        for b in range(bound + 1, bound + gens[-1] + 1):
+            assert graph_components(factorizations(b, gens)) == 1
 
 
 class TestProfileGolden:
@@ -351,28 +364,11 @@ class TestIsCiOracle:
         # common factors allowed; unsorted or repeated entries must raise alike
         try:
             expected = betti_profile(gens).mu == len(gens) - 1
-        except (BoundTooSmallError, CapExceededError, ValueError) as exc:
+        except (CapExceededError, ValueError) as exc:
             with pytest.raises(type(exc)):
                 is_ci_oracle(gens)
         else:
             assert is_ci_oracle(gens) is expected
-
-    @pytest.mark.parametrize("gens", [(3, 4, 5), (6, 8, 10)])
-    def test_guard_matches_profile(self, monkeypatch, gens):
-        # a Frobenius number 7 too small puts the Betti degrees 8, 9, 10 of
-        # (3, 4, 5) beyond the bound 5 but inside the guard window
-        frobenius_mask = toricoracle._frobenius_mask
-
-        def short(entries, extra):
-            frob, mask = frobenius_mask(entries, extra)
-            return frob - 7, mask
-
-        monkeypatch.setattr(toricoracle, "_frobenius_mask", short)
-        with pytest.raises(BoundTooSmallError) as profile_error:
-            betti_profile(gens)
-        with pytest.raises(BoundTooSmallError) as oracle_error:
-            is_ci_oracle(gens)
-        assert str(oracle_error.value) == str(profile_error.value)
 
 
 class TestProfileSerialization:
