@@ -161,26 +161,15 @@ def find_representation_with_sum(
     return Representation(_lex_smallest(b, entries, layers), b, entries)
 
 
-def _frobenius_mask(entries: tuple[int, ...], extra: int) -> tuple[int, int]:
-    """(F, mask): the Frobenius number of gcd-1 entries and their membership
-    mask on at least 0..F + extra.
-
-    Schur's bound F <= (min-1)(max-1) - 1 sizes the mask before F is known:
-    (min-1)(max-1) + extra bits hold every value up to F + extra, and F is
-    their highest zero bit, since every value above F is a member.
-    """
-    nbits = (min(entries) - 1) * (max(entries) - 1) + extra
-    mask = _member_bits(entries, nbits)
-    return (~mask & ((1 << nbits) - 1)).bit_length() - 1, mask
-
-
 def frobenius(gens: GensLike) -> int:
-    """Largest integer outside the semigroup; -1 when 1 is a generator."""
+    """Largest integer outside the semigroup; -1 when 1 is a generator: the
+    highest zero bit of the membership mask on Schur's bound (min-1)(max-1)."""
     entries = _entries(gens)
     d = gcd(*entries)
     if d != 1:
         raise ValueError(f"frobenius number undefined: gcd({entries}) = {d}")
-    return _frobenius_mask(entries, 0)[0]
+    nbits = (min(entries) - 1) * (max(entries) - 1)
+    return (~_member_bits(entries, nbits) & ((1 << nbits) - 1)).bit_length() - 1
 
 
 def divisors(n: int) -> tuple[int, ...]:

@@ -28,13 +28,13 @@ import json
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .semigroup import GensLike, _entries, _frobenius_mask
+from .semigroup import GensLike, _entries, _member_bits
 from .seqcore import GeneratorSequence, normalize
 
 DEFAULT_FACTORIZATION_CAP = 50_000
 
-# the oracle refuses an input whose membership mask, or whose len(gens)^2
-# reach masks sized by the degree bound, would hold more bits than this,
+# the oracle refuses an input whose Schur-sized membership mask, or whose
+# len(gens)^2 reach masks sized by the degree bound, would hold more bits than this,
 MAX_ORACLE_BITS = 1 << 30
 # or whose closure, about len(gens)^3 times the reach mask length in bit
 # operations, would take more: intervals 160..319 and 200..399 take 0.25 s
@@ -196,27 +196,28 @@ def _refuse_oversized(entries: tuple[int, ...], amount: int, limit: int, unit: s
         raise CapExceededError(f"oracle for {name} needs about {amount} {unit}, more than {limit}")
 
 
-def _refuse_closure(entries: tuple[int, ...], n: int, upto: int) -> None:
-    # n(n+1)/2 reach masks of upto bits, then the closure
-    _refuse_oversized(entries, n * n * upto, MAX_ORACLE_BITS, "mask bits")
-    _refuse_oversized(entries, n**3 * upto, MAX_CLOSURE_WORK, "closure bit operations")
-
-
 def _prepare(seq: GeneratorSequence) -> tuple:
     """(d, rgens, B, mask) for seq = d * rgens: the degree bound B = F + 2*max
     over rgens and the membership mask of rgens on at least 0..B.  B suffices:
-    past it every b - g - h exceeds F, so every pair of generators is joined."""
+    past it every b - g - h exceeds F, so every pair of generators is joined.
+
+    The mask is sized by Schur's bound F < (min-1)(max-1), cut where n^2 reach
+    masks would pass MAX_ORACLE_BITS; F is its highest zero bit.  An F past
+    the cut leaves a gap in the mask's top min bits (min members in a row
+    would admit every larger value), so the B read off exceeds the cut too.
+    """
     d, reduced = normalize(seq)
     rgens, gmax = reduced.gens, reduced.gens[-1]
-    # one mask, of fewer than min*max + 2*max bits, gives F and covers 0..B
+    n = len(rgens)
+    # the uncut mask, of fewer than min*max + 2*max bits, must fit too, or a
+    # pair such as 100000, 100001 would build 2^28 bits before its refusal
     _refuse_oversized(seq.gens, rgens[0] * gmax + 2 * gmax, MAX_ORACLE_BITS, "mask bits")
-    # B >= 2*max - 1, but check at 3*max - 1 before building that mask, which
-    # has no cost cap of its own: 2000..2018, 500000 passes a check at
-    # 2*max - 1, then is still building a 1e9-bit mask after a minute
-    _refuse_closure(seq.gens, len(rgens), 3 * gmax - 1)
-    frob, mask = _frobenius_mask(rgens, 2 * gmax)
-    B = frob + 2 * gmax
-    _refuse_closure(seq.gens, len(rgens), B)
+    nbits = min((rgens[0] - 1) * (gmax - 1) + 2 * gmax, MAX_ORACLE_BITS // (n * n) + 1)
+    mask = _member_bits(rgens, nbits)
+    B = (~mask & ((1 << nbits) - 1)).bit_length() - 1 + 2 * gmax
+    # n(n+1)/2 reach masks of B bits, then the closure
+    _refuse_oversized(seq.gens, n * n * B, MAX_ORACLE_BITS, "mask bits")
+    _refuse_oversized(seq.gens, n**3 * B, MAX_CLOSURE_WORK, "closure bit operations")
     return d, rgens, B, mask
 
 
@@ -224,25 +225,25 @@ def betti_profile(gens: GensLike, *, engine: str = "graph") -> BettiProfile:
     """Count minimal generators per degree up to the bound frobenius + 2*max
     over the gcd-normalized sequence (see _prepare).
 
-    Inputs over MAX_ORACLE_BITS or MAX_CLOSURE_WORK raise CapExceededError
-    before the masks are built: the membership mask is checked first, then
-    the reach masks and the closure, at 3*max - 1 before the membership mask
-    is built and again at the bound.
+    An unknown engine raises ValueError before any mask is built.  Inputs
+    over MAX_ORACLE_BITS or MAX_CLOSURE_WORK raise CapExceededError before
+    the reach masks are built: the Schur-sized membership mask is checked
+    first, then the reach masks and the closure, once, at the bound.
     """
+    if engine not in ("graph", "enumerate"):
+        raise ValueError(f"unknown engine {engine!r}")
     seq = gens if isinstance(gens, GeneratorSequence) else GeneratorSequence(gens)
     d, rgens, B, mask = _prepare(seq)
 
     if engine == "graph":
         disconnected = _disconnected_degrees(rgens, mask, B)
-    elif engine == "enumerate":
+    else:
         disconnected = {}
         for b in range(1, B + 1):
             fset = factorizations(b, rgens, DEFAULT_FACTORIZATION_CAP)
             comps = graph_components(fset) if len(fset) >= 2 else 1
             if comps > 1:
                 disconnected[b] = comps - 1
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
 
     counts = tuple(sorted((b * d, c) for b, c in disconnected.items()))
     mu = sum(c for _, c in counts)

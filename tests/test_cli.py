@@ -131,7 +131,7 @@ class TestOracle:
 
 @pytest.mark.parametrize("command", ["oracle", "compare"])
 def test_hostile_oracle_input_exits_three_fast(capsys, command):
-    # the Frobenius mask of this pair alone would take 1.25 GB
+    # the membership mask of this pair alone would take 1.25 GB
     start = time.perf_counter()
     code, _, err = run(capsys, command, "100000,100001")
     assert code == 3
@@ -141,8 +141,9 @@ def test_hostile_oracle_input_exits_three_fast(capsys, command):
 
 def test_slow_oracle_closure_exits_three_fast(capsys):
     # 450 generators pass both mask checks, but closing their reach masks
-    # would take about 2e11 bit operations; 2000..2018, 500000 is refused on
-    # the closure before its 1e9-bit Frobenius mask is built
+    # would take about 2e11 bit operations; 2000..2018, 500000 builds its
+    # membership mask cut at 2.7 million bits, not the 1e9 bits of Schur's
+    # bound, and is refused on the closure at the bound read off it
     for gens in (range(450, 900), [*range(2000, 2019), 500000]):
         start = time.perf_counter()
         code, _, err = run(capsys, "oracle", ",".join(map(str, gens)))
@@ -152,9 +153,9 @@ def test_slow_oracle_closure_exits_three_fast(capsys):
 
 
 def test_wide_oracle_input_exits_three_before_any_mask(capsys):
-    # 2,000 generators: their Frobenius mask of 8 million bits passes the
-    # mask check but takes half a minute to build, and even the least
-    # possible bound makes the reach masks too large
+    # 2,000 generators: their Schur-sized membership mask of 8 million bits
+    # passes the mask check but would take half a minute to build; cut at
+    # 269 bits, it gives a bound whose reach masks are too large
     start = time.perf_counter()
     code, _, err = run(capsys, "oracle", ",".join(map(str, range(2000, 4000))))
     assert code == 3
@@ -163,6 +164,18 @@ def test_wide_oracle_input_exits_three_before_any_mask(capsys):
     # the error names the input by its count and ends, not all 2,000 entries
     assert len(err.encode()) < 200
     assert "2000" in err and "3999" in err
+
+
+def test_far_frobenius_oracle_input_exits_three_fast(capsys):
+    # 20 generators whose Frobenius number lies past the cut membership
+    # mask: the bound read off that mask already makes the reach masks too
+    # large, where the uncut mask would take seconds to build
+    for gens in (range(10000, 10020), range(20000, 20020)):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "oracle", ",".join(map(str, gens)))
+        assert code == 3
+        assert "mask bits" in err
+        assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("command", ["analyze", "compare"])

@@ -155,39 +155,67 @@ class TestBettiProfile:
         )
 
     def test_oversized_input_refused_before_any_mask(self):
-        # the Frobenius mask alone would take 1e10 bits
+        # the membership mask alone would take 1e10 bits
         with pytest.raises(CapExceededError):
             betti_profile((100000, 100001))
-        # 600 generators: a small Frobenius mask, but 600^2 reach masks of
-        # 4,196 bits each
+        # 600 generators: a small membership mask, but 600^2 reach masks of
+        # 2,997 bits each
         with pytest.raises(CapExceededError):
             betti_profile(tuple(range(600, 1200)))
 
     def test_oversized_input_builds_no_mask(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a mask was built")
+            raise AssertionError("the reach masks were built")
 
-        # the reach masks are built by the closure, after every refusal
+        def member_bits(gens, nbits):
+            assert nbits <= limit, (len(gens), nbits)
+            return _member_bits(gens, nbits)
+
+        # the reach masks are built by the closure, after every refusal, and
+        # the membership mask stops where n^2 reach masks would pass the cap
         monkeypatch.setattr(toricoracle, "_component_firsts", refuse)
-        monkeypatch.setattr(toricoracle, "_frobenius_mask", refuse)
+        monkeypatch.setattr(toricoracle, "_member_bits", member_bits)
         for gens, unit in [
             (tuple(range(600, 1200)), "mask bits"),
             # the reach masks fit, but closing them would take 450^3 * 2,247
             # bit operations
             (tuple(range(450, 900)), "closure bit operations"),
-            # refused only because the check before the Frobenius mask sizes
-            # the closure at 3*max - 1, not at the least bound 2*max - 1: that
-            # mask would take 1e9 bits and over a minute to build
+            # the uncut membership mask would take 1e9 bits and over a minute
+            # to build; cut at 2.7 million bits, it gives B = F + 1e6
             (tuple(range(2000, 2019)) + (500000,), "closure bit operations"),
+            # F lies past the cut, so the B read off the cut mask does too
+            (tuple(range(10000, 10020)), "mask bits"),
+            (tuple(range(20000, 20020)), "mask bits"),
+            ((30000, 30001, 30002), "mask bits"),
         ]:
+            limit = toricoracle.MAX_ORACLE_BITS // len(gens) ** 2 + 1
             with pytest.raises(CapExceededError, match=unit):
                 betti_profile(gens)
             with pytest.raises(CapExceededError, match=unit):
                 is_ci_oracle(gens)
+        limit = -1  # no membership mask at all
         with pytest.raises(CapExceededError):
             betti_profile((100000, 100001))
         with pytest.raises(CapExceededError):
             is_ci_oracle((100000, 100001, 100002))
+
+    @pytest.mark.parametrize("gens", [(8177, 8188, 8193, 8205), (100000, 100001)])
+    def test_unknown_engine_refused_before_any_mask(self, monkeypatch, gens):
+        def refuse(*args):
+            raise AssertionError("a mask was built")
+
+        monkeypatch.setattr(toricoracle, "_member_bits", refuse)
+        with pytest.raises(ValueError, match="unknown engine 'nope'"):
+            betti_profile(gens, engine="nope")
+
+    def test_many_generators_answered_at_the_real_bound(self):
+        # 50 generators: the closure fits at B = F + 2*max = 20,999 + 46,000,
+        # though not at the 3*max - 1 = 68,999 that an earlier check sized it by
+        gens = tuple(range(1000, 1049)) + (23000,)
+        profile = betti_profile(gens)
+        assert profile.bound == 66_999
+        assert profile.mu == 1138
+        assert is_ci_oracle(gens) is False
 
     def test_cap_sized_by_the_real_bound(self):
         # shift j = 8177 of the base (11, 16, 28): 16 reach masks sized by
@@ -294,6 +322,31 @@ class TestOracleProperties:
         upto = 2 * (bound + gens[-1])
         mask = _member_bits(gens, upto + 1)
         assert max(_disconnected_degrees(gens, mask, upto), default=0) <= bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(2, 120), min_size=3, max_size=6, unique=True)
+        .map(lambda xs: tuple(sorted(xs)))
+        .filter(lambda g: gcd(*g) == 1),
+        st.integers(10, 16),
+    )
+    def test_caps_decide_on_the_real_bound(self, gens, log_bits):
+        # with the cap lowered, the membership mask is mostly cut short of
+        # Schur's bound; the refusal must still follow the true B
+        n, gmax = len(gens), gens[-1]
+        bound = frobenius(gens) + 2 * gmax
+        expected = betti_profile(gens)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(toricoracle, "MAX_ORACLE_BITS", 1 << log_bits)
+            if (
+                gens[0] * gmax + 2 * gmax > 1 << log_bits
+                or n * n * bound > 1 << log_bits
+                or n**3 * bound > toricoracle.MAX_CLOSURE_WORK
+            ):
+                with pytest.raises(CapExceededError):
+                    betti_profile(gens)
+            else:
+                assert betti_profile(gens) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(gcd_one_sequences.filter(lambda g: len(g) <= 5))
