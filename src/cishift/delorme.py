@@ -191,29 +191,19 @@ def _verify(entries: tuple[int, ...], cert: CICertificate) -> bool:
         return len(entries) <= 2 and cert.entries == entries
     if not isinstance(cert, SplitNode):
         return False
-    split = cert.split
-    m = len(entries)
-    if sorted(split.left_indices + split.right_indices) != list(range(m)):
-        return False
-    if not split.left_indices or not split.right_indices:
-        return False
-    if split.k1 < 1 or split.k2 < 1 or gcd(split.k1, split.k2) != 1:
-        return False
-    left_vals = tuple(entries[i] for i in split.left_indices)
-    right_vals = tuple(entries[i] for i in split.right_indices)
-    if any(v % split.k1 for v in left_vals) or any(v % split.k2 for v in right_vals):
-        return False
-    if tuple(v // split.k1 for v in left_vals) != split.left_reduced.gens:
-        return False
-    if tuple(v // split.k2 for v in right_vals) != split.right_reduced.gens:
-        return False
-    w1, w2 = cert.k1_witness, cert.k2_witness
-    if w1.gens != split.right_reduced.gens or w1.target != split.k1 or not w1.is_valid():
-        return False
-    if w2.gens != split.left_reduced.gens or w2.target != split.k2 or not w2.is_valid():
-        return False
-    return (_verify(split.left_reduced.gens, cert.left_cert)
-            and _verify(split.right_reduced.gens, cert.right_cert))
+    split, w1, w2 = cert.split, cert.k1_witness, cert.k2_witness
+    left, right, k1, k2 = split.left_indices, split.right_indices, split.k1, split.k2
+    left_red, right_red = split.left_reduced.gens, split.right_reduced.gens
+    # two non-empty sides partition the indices, each k times its reduced form
+    return (
+        0 < len(left) < len(entries) and sorted(left + right) == [*range(len(entries))]
+        and k1 >= 1 and k2 >= 1 and gcd(k1, k2) == 1
+        and [entries[i] for i in left] == [k1 * v for v in left_red]
+        and [entries[i] for i in right] == [k2 * v for v in right_red]
+        and w1.gens == right_red and w1.target == k1 and w1.is_valid()
+        and w2.gens == left_red and w2.target == k2 and w2.is_valid()
+        and _verify(left_red, cert.left_cert) and _verify(right_red, cert.right_cert)
+    )
 
 
 def format_certificate(cert: CICertificate) -> str:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .seqcore import GeneratorSequence
@@ -44,11 +45,9 @@ class Representation:
         object.__setattr__(self, "gens", tuple(self.gens))
 
     def is_valid(self) -> bool:
-        if len(self.coefficients) != len(self.gens):
-            return False
-        if any(c < 0 for c in self.coefficients):
-            return False
-        return sum(c * g for c, g in zip(self.coefficients, self.gens)) == self.target
+        c = self.coefficients
+        return (len(c) == len(self.gens) and min(c, default=0) >= 0
+                and sum(map(mul, c, self.gens)) == self.target)
 
     @property
     def coefficient_sum(self) -> int:

@@ -13,10 +13,13 @@ Two interchangeable engines compute the per-degree component counts:
   b - g - h is in the semigroup.  Factorizations containing g form a clique,
   and two cliques meet exactly when such an edge exists, so both graphs have
   the same component count.  It shifts the semigroup module's big-integer
-  membership mask by g and by g + h and closes the graphs of all degrees at
-  once: n * C(n-1, 2) AND/OR pairs for n generators.  Marking each component
-  at its smallest vertex, is_ci_oracle reads mu as the marks' popcount minus
-  that of their union, with no per-degree profile.
+  membership mask by g and by g + h and resolves the graphs of all degrees
+  at once, eliminating the generators from the largest down: C(n, 3)
+  AND/OR pairs for n generators.  Marking each component at its smallest
+  vertex, is_ci_oracle reads mu as the marks' popcount minus that of their
+  union, with no per-degree profile.  Degrees run to F + 2*max; a lower
+  bound on F, (s+1)*min - 1 with s*(max - min) < min - 1, refuses inputs
+  too large for the masks before any mask is built (see _frobenius_floor).
 * "enumerate" lists every factorization per degree (depth-first, subject to
   a cap) and unions them coordinate by coordinate, exactly mirroring the
   definition.  It exists as the slow reference path.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import CapExceededError
 from .semigroup import GensLike, _entries, _member_bits
@@ -34,11 +38,11 @@ from .seqcore import GeneratorSequence, normalize
 DEFAULT_FACTORIZATION_CAP = 50_000
 
 # the oracle refuses an input whose Schur-sized membership mask, or whose
-# len(gens)^2 reach masks sized by the degree bound, would hold more bits than this,
+# len(gens)^2 masks sized by the degree bound, would hold more bits than this,
 MAX_ORACLE_BITS = 1 << 30
-# or whose closure, about len(gens)^3 times the reach mask length in bit
-# operations, would take more: intervals 160..319 and 200..399 take 0.25 s
-# (4.6e9) and 0.6 s (1.1e10) on one core
+# or whose closure, charged len(gens)^3 times the degree bound in bit
+# operations (about six times its C(n, 3) AND/OR pairs), would take more:
+# intervals 160..319 and 200..399 take 0.16 s (3.3e9) and 0.31 s (8.0e9) on one core
 MAX_CLOSURE_WORK = 1 << 33
 
 
@@ -138,38 +142,39 @@ def _component_firsts(gens: tuple[int, ...], mask: int, upto: int) -> tuple[list
     """(firsts, ones, twos) for the factorization graphs of degrees 1..upto.
 
     `mask` is the membership mask of gens on at least 0..upto.  Bit b of
-    reach[i][j] says whether generators i and j are joined at degree b (bit
-    b of reach[i][i]: whether i is a vertex there), so one boolean
-    Floyd-Warshall over these masks closes the graphs of all degrees at once.
-    reach is symmetric and every edge mask lies inside the vertex masks of
-    its ends, so the closure updates the pairs i < j off k only, writing
-    both halves, and leaves the diagonal alone: n * C(n-1, 2) AND/OR pairs.
-    Each component is counted at its smallest vertex i, by bit b of firsts[i].
+    mask << g says whether generator g is a vertex at degree b, and bit b of
+    mask << (g + h) whether g and h are joined there; each edge mask lies
+    inside the vertex masks of its ends.  Each component is counted at its
+    smallest vertex i, by bit b of firsts[i]: i is joined to no smaller
+    generator.  A path from i to a smaller generator reaches the first one
+    through larger generators only, so eliminating the generators from the
+    largest down decides this: eliminating i joins each pair of its smaller
+    neighbours, and leaves i's edges to them final.  That is one AND/OR pair per triple,
+    C(n, 3) for n generators.  The C(n, 2) edge masks lie in the order of
+    combinations over the generators reversed: each generator's edges to the
+    smaller ones form a slice, and the pairs among those follow it in the
+    order of combinations over that slice.  Bits past upto never reach a
+    first, so only the vertex masks are cut.
     """
-    n = len(gens)
     full = (1 << (upto + 1)) - 1
-    mask &= full  # shift only the bits that can land inside full
-    reach = [[0] * n for _ in range(n)]
-    for i, gi in enumerate(gens):
-        reach[i][i] = (mask << gi) & full
-        for j in range(i + 1, n):
-            reach[i][j] = reach[j][i] = (mask << (gi + gens[j])) & full
-    for k, row_k in enumerate(reach):
-        for i, row_i in enumerate(reach):
-            if i == k:
-                continue
-            via = row_k[i]
-            for j in range(i + 1, n):
-                if j != k:
-                    row_i[j] = reach[j][i] = row_i[j] | (via & row_k[j])
+    mask &= full  # the bits past upto of a longer mask would only lengthen every shift
+    edges = [mask << (g + h) for g, h in combinations(gens[::-1], 2)]
     firsts = []
-    ones = twos = 0  # degrees with at least one / two components
-    for i, row in enumerate(reach):
+    start = 0
+    for i in range(len(gens) - 1, -1, -1):
+        row = edges[start:start + i]  # generator i to i-1, ..., 0
+        start += i
+        p = start
         joined = 0
-        for x in row[:i]:
+        for x, y in combinations(row, 2):
+            edges[p] |= x & y
+            p += 1
+        for x in row:
             joined |= x
-        first = row[i] & ~joined
-        firsts.append(first)
+        firsts.append((mask << gens[i]) & full & ~joined)
+    firsts.reverse()
+    ones = twos = 0  # degrees with at least one / two components
+    for first in firsts:
         twos |= ones & first
         ones |= first
     return firsts, ones, twos
@@ -186,14 +191,23 @@ def _disconnected_degrees(gens: tuple[int, ...], mask: int, upto: int) -> dict[i
     return out
 
 
-def _refuse_oversized(entries: tuple[int, ...], amount: int, limit: int, unit: str) -> None:
+def _refuse_oversized(entries: tuple[int, ...], amount: int, limit: int, unit: str,
+                      about: str = "about") -> None:
     if amount > limit:
         if len(entries) > 8:
             head = ", ".join(map(str, entries[:3]))
             name = f"{len(entries)} generators ({head}, ..., {entries[-1]})"
         else:
             name = str(entries)
-        raise CapExceededError(f"oracle for {name} needs about {amount} {unit}, more than {limit}")
+        raise CapExceededError(f"oracle for {name} needs {about} {amount} {unit}, more than {limit}")
+
+
+def _frobenius_floor(g0: int, gmax: int) -> int:
+    """(s+1)*g0 - 1 <= F for gens g0 < ... < gmax (or g0 = gmax = 1), s the
+    largest integer with s*(gmax - g0) < g0 - 1.  It is a gap: a member below
+    (s+1)*g0 sums r <= s generators, so lies in [r*g0, r*gmax], and
+    r*gmax < (s+1)*g0 - 1."""
+    return ((g0 - 2) // max(gmax - g0, 1) + 1) * g0 - 1
 
 
 def _prepare(seq: GeneratorSequence) -> tuple:
@@ -201,22 +215,29 @@ def _prepare(seq: GeneratorSequence) -> tuple:
     over rgens and the membership mask of rgens on at least 0..B.  B suffices:
     past it every b - g - h exceeds F, so every pair of generators is joined.
 
-    The mask is sized by Schur's bound F < (min-1)(max-1), cut where n^2 reach
-    masks would pass MAX_ORACLE_BITS; F is its highest zero bit.  An F past
-    the cut leaves a gap in the mask's top min bits (min members in a row
-    would admit every larger value), so the B read off exceeds the cut too.
+    Before any mask, n^2 masks sized by _frobenius_floor's lower bound on B
+    are refused on "at least" that many mask bits.  Past that, the mask is
+    sized by Schur's bound F < (min-1)(max-1), cut where n^2 masks of B bits
+    would pass MAX_ORACLE_BITS; F is its highest zero bit.  An F past the cut
+    leaves a gap in the mask's top min bits (min members in a row would admit
+    every larger value), so the B read off, then again a lower bound, exceeds
+    the cut too.
     """
     d, reduced = normalize(seq)
-    rgens, gmax = reduced.gens, reduced.gens[-1]
-    n = len(rgens)
+    rgens = reduced.gens
+    g0, gmax, n = rgens[0], rgens[-1], len(rgens)
     # the uncut mask, of fewer than min*max + 2*max bits, must fit too, or a
-    # pair such as 100000, 100001 would build 2^28 bits before its refusal
-    _refuse_oversized(seq.gens, rgens[0] * gmax + 2 * gmax, MAX_ORACLE_BITS, "mask bits")
-    nbits = min((rgens[0] - 1) * (gmax - 1) + 2 * gmax, MAX_ORACLE_BITS // (n * n) + 1)
+    # pair such as 30000, 59999 would build 2^28 bits before its refusal
+    _refuse_oversized(seq.gens, g0 * gmax + 2 * gmax, MAX_ORACLE_BITS, "mask bits")
+    low = _frobenius_floor(g0, gmax) + 2 * gmax
+    _refuse_oversized(seq.gens, n * n * low, MAX_ORACLE_BITS, "mask bits", "at least")
+    nbits = min((g0 - 1) * (gmax - 1) + 2 * gmax, MAX_ORACLE_BITS // (n * n) + 1)
     mask = _member_bits(rgens, nbits)
-    B = (~mask & ((1 << nbits) - 1)).bit_length() - 1 + 2 * gmax
-    # n(n+1)/2 reach masks of B bits, then the closure
-    _refuse_oversized(seq.gens, n * n * B, MAX_ORACLE_BITS, "mask bits")
+    F = (~mask & ((1 << nbits) - 1)).bit_length() - 1
+    B = F + 2 * gmax
+    # n(n+1)/2 vertex and edge masks of about B bits, then the closure
+    cut = "at least" if F + g0 >= nbits else "about"
+    _refuse_oversized(seq.gens, n * n * B, MAX_ORACLE_BITS, "mask bits", cut)
     _refuse_oversized(seq.gens, n**3 * B, MAX_CLOSURE_WORK, "closure bit operations")
     return d, rgens, B, mask
 
@@ -227,8 +248,9 @@ def betti_profile(gens: GensLike, *, engine: str = "graph") -> BettiProfile:
 
     An unknown engine raises ValueError before any mask is built.  Inputs
     over MAX_ORACLE_BITS or MAX_CLOSURE_WORK raise CapExceededError before
-    the reach masks are built: the Schur-sized membership mask is checked
-    first, then the reach masks and the closure, once, at the bound.
+    the vertex and edge masks are built: the Schur-sized membership mask and
+    the masks at a lower bound on B are checked first, then the masks and the
+    closure, once, at the bound.
     """
     if engine not in ("graph", "enumerate"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -255,11 +277,12 @@ def is_ci_oracle(gens: GensLike) -> bool:
 
     Past two generators, equal to betti_profile(gens).mu == len(gens) - 1, errors included."""
     seq = gens if isinstance(gens, GeneratorSequence) else GeneratorSequence(gens)
-    if len(seq) <= 2:
+    n = len(seq.gens)
+    if n <= 2:
         return True
     _, rgens, B, mask = _prepare(seq)
     firsts, ones, _ = _component_firsts(rgens, mask, B)
-    return sum(first.bit_count() for first in firsts) - ones.bit_count() == len(seq) - 1
+    return sum(map(int.bit_count, firsts)) - ones.bit_count() == n - 1
 
 
 def profile_to_dict(profile: BettiProfile) -> dict:

@@ -154,8 +154,8 @@ def test_slow_oracle_closure_exits_three_fast(capsys):
 
 def test_wide_oracle_input_exits_three_before_any_mask(capsys):
     # 2,000 generators: their Schur-sized membership mask of 8 million bits
-    # passes the mask check but would take half a minute to build; cut at
-    # 269 bits, it gives a bound whose reach masks are too large
+    # passes the mask check but would take half a minute to build; a lower
+    # bound on F already makes their masks too large
     start = time.perf_counter()
     code, _, err = run(capsys, "oracle", ",".join(map(str, range(2000, 4000))))
     assert code == 3
@@ -168,14 +168,24 @@ def test_wide_oracle_input_exits_three_before_any_mask(capsys):
 
 def test_far_frobenius_oracle_input_exits_three_fast(capsys):
     # 20 generators whose Frobenius number lies past the cut membership
-    # mask: the bound read off that mask already makes the reach masks too
-    # large, where the uncut mask would take seconds to build
+    # mask: a lower bound on it already makes the masks too large, where the
+    # uncut mask would take seconds to build
     for gens in (range(10000, 10020), range(20000, 20020)):
         start = time.perf_counter()
         code, _, err = run(capsys, "oracle", ",".join(map(str, gens)))
         assert code == 3
         assert "mask bits" in err
         assert time.perf_counter() - start < 1.0
+
+
+def test_three_close_generators_exit_three_before_any_mask(capsys):
+    # F >= 15000 * 30000 - 1 refuses the masks; the membership mask cut at
+    # the cap would hold 1.2e8 bits and take most of a second to build
+    start = time.perf_counter()
+    code, _, err = run(capsys, "oracle", "30000,30001,30002")
+    assert code == 3
+    assert "at least" in err and "mask bits" in err
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("command", ["analyze", "compare"])

@@ -180,6 +180,45 @@ class TestVerifier:
         assert not verify_certificate(GeneratorSequence((4, 6, 9)), Leaf((4, 6, 9)))
         assert not verify_certificate(GeneratorSequence((4, 6, 9)), "garbage")
 
+    def test_rejects_witness_with_negative_coefficient(self):
+        # 31 = 1*7 + 0*9 + 2*12 over (7, 9, 12), rewritten as -8*7 + 7*9 + 2*12
+        seq = GeneratorSequence((28, 31, 36, 48))
+        cert = ci(seq.gens)
+        assert cert.k1_witness == Representation((1, 0, 2), 31, (7, 9, 12))
+        bad = Representation((-8, 7, 2), 31, (7, 9, 12))
+        assert sum(c * g for c, g in zip(bad.coefficients, bad.gens)) == 31
+        assert verify_certificate(seq, dataclasses.replace(cert, k1_witness=bad)) is False
+
+    def test_rejects_witness_longer_than_its_gens(self):
+        # a trailing 0 leaves the weighted sum alone, but not the length
+        seq = GeneratorSequence((4, 6, 9))
+        cert = ci(seq.gens)
+        for field in ("k1_witness", "k2_witness"):
+            witness = getattr(cert, field)
+            bad = Representation(witness.coefficients + (0,), witness.target, witness.gens)
+            assert verify_certificate(seq, dataclasses.replace(cert, **{field: bad})) is False
+
+    def test_rejects_repeated_index(self):
+        # index 1 of (4, 8, 9) on both sides of 8·(1) ⊔ 1·(4,9): each side is
+        # k times its reduced form, the witness 8 = 0*4 + 1*8 + 0*9 holds, and
+        # the right side, now the whole sequence, has its own certificate, so
+        # only the partition of the indices rejects the tree
+        seq = GeneratorSequence((4, 8, 9))
+        cert = ci(seq.gens)
+        assert format_certificate(cert) == "8·(1) ⊔ 1·(4,9)"
+        split = dataclasses.replace(cert.split, right_indices=(0, 1, 2), right_reduced=seq)
+        witness = Representation((0, 1, 0), 8, seq.gens)
+        bad = dataclasses.replace(cert, split=split, k1_witness=witness, right_cert=cert)
+        assert verify_certificate(seq, bad) is False
+        # listed twice on one side, or on both sides with the rest unchanged
+        split = cert.split
+        left, right = split.left_indices, split.right_indices
+        for bad_left, bad_right in [
+            (left + left, right), (left, right + right[:1]), (left + right[:1], right),
+        ]:
+            bad = dataclasses.replace(split, left_indices=bad_left, right_indices=bad_right)
+            assert verify_certificate(seq, dataclasses.replace(cert, split=bad)) is False
+
 
 def _node_entries(split):
     """The entries a split node stands for, rebuilt from its two sides."""

@@ -171,24 +171,29 @@ class TestBettiProfile:
             assert nbits <= limit, (len(gens), nbits)
             return _member_bits(gens, nbits)
 
-        # the reach masks are built by the closure, after every refusal, and
-        # the membership mask stops where n^2 reach masks would pass the cap
+        # the vertex and edge masks are built by the closure, after every
+        # refusal, and the membership mask stops where n^2 masks of the bound
+        # would pass the cap
         monkeypatch.setattr(toricoracle, "_component_firsts", refuse)
         monkeypatch.setattr(toricoracle, "_member_bits", member_bits)
-        for gens, unit in [
-            (tuple(range(600, 1200)), "mask bits"),
-            # the reach masks fit, but closing them would take 450^3 * 2,247
-            # bit operations
-            (tuple(range(450, 900)), "closure bit operations"),
+        for gens, unit, no_mask in [
+            # 600^2 masks at the lower bound 2,997 on B, which is exact here
+            (tuple(range(600, 1200)), "at least .* mask bits", True),
+            # the masks fit, but closing them would take 450^3 * 2,247 bit
+            # operations
+            (tuple(range(450, 900)), "about .* closure bit operations", False),
             # the uncut membership mask would take 1e9 bits and over a minute
             # to build; cut at 2.7 million bits, it gives B = F + 1e6
-            (tuple(range(2000, 2019)) + (500000,), "closure bit operations"),
-            # F lies past the cut, so the B read off the cut mask does too
-            (tuple(range(10000, 10020)), "mask bits"),
-            (tuple(range(20000, 20020)), "mask bits"),
-            ((30000, 30001, 30002), "mask bits"),
+            (tuple(range(2000, 2019)) + (500000,), "about .* closure bit operations", False),
+            # the lower bound on F refuses these before any mask: 10000..10019
+            # needs at least 400 * (527 * 10000 - 1 + 2 * 10019) mask bits
+            (tuple(range(10000, 10020)), "at least 2116014800 mask bits", True),
+            (tuple(range(20000, 20020)), "at least .* mask bits", True),
+            ((30000, 30001, 30002), "at least .* mask bits", True),
+            # F is at least 29,999 only, but Schur's bound refuses the mask
+            ((30000, 59998, 59999), "about .* mask bits", True),
         ]:
-            limit = toricoracle.MAX_ORACLE_BITS // len(gens) ** 2 + 1
+            limit = -1 if no_mask else toricoracle.MAX_ORACLE_BITS // len(gens) ** 2 + 1
             with pytest.raises(CapExceededError, match=unit):
                 betti_profile(gens)
             with pytest.raises(CapExceededError, match=unit):
@@ -347,6 +352,20 @@ class TestOracleProperties:
                     betti_profile(gens)
             else:
                 assert betti_profile(gens) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 7).flatmap(
+            lambda n: st.lists(st.integers(1, 300), min_size=n, max_size=n, unique=True)
+        )
+        .map(lambda xs: tuple(sorted(xs)))
+        .filter(lambda g: gcd(*g) == 1)
+    )
+    def test_frobenius_floor_is_a_gap(self, gens):
+        # the lower bound that refuses inputs before any mask never passes F
+        floor = toricoracle._frobenius_floor(gens[0], gens[-1])
+        assert floor <= frobenius(gens)
+        assert floor < 0 or not _member_bits(gens, floor + 1) >> floor & 1
 
     @settings(max_examples=100, deadline=None)
     @given(gcd_one_sequences.filter(lambda g: len(g) <= 5))
