@@ -149,15 +149,15 @@ def _component_firsts(gens: tuple[int, ...], mask: int, upto: int) -> tuple[list
     generator.  A path from i to a smaller generator reaches the first one
     through larger generators only, so eliminating the generators from the
     largest down decides this: eliminating i joins each pair of its smaller
-    neighbours, and leaves i's edges to them final.  That is one AND/OR pair per triple,
-    C(n, 3) for n generators.  The C(n, 2) edge masks lie in the order of
-    combinations over the generators reversed: each generator's edges to the
-    smaller ones form a slice, and the pairs among those follow it in the
-    order of combinations over that slice.  Bits past upto never reach a
-    first, so only the vertex masks are cut.
+    neighbours, and leaves i's edges to them final.  That is one AND/OR pair
+    per triple, C(n, 3) for n generators.  The C(n, 2) edge masks lie in the
+    order of combinations over the generators reversed: each generator's
+    edges to the smaller ones form a slice, and the pairs among those follow
+    it in the order of combinations over that slice.  Bits past upto never
+    reach a first, so only the vertex masks are cut.
     """
     full = (1 << (upto + 1)) - 1
-    mask &= full  # the bits past upto of a longer mask would only lengthen every shift
+    mask &= full  # a longer mask's bits past upto would lengthen every shift
     edges = [mask << (g + h) for g, h in combinations(gens[::-1], 2)]
     firsts = []
     start = 0
