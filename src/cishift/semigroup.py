@@ -3,8 +3,11 @@
 Everything here is a pure function of (value, generator tuple), answered
 from big-integer bitsets whose bit v stands for the value v:
 
-* membership and the Frobenius number read one shift-or mask, built by
-  ``_member_bits`` in O(len(gens) * log(b)) big-integer operations;
+* membership reads one shift-or mask, built by ``_member_bits`` in
+  O(len(gens) * log(b)) big-integer operations;
+* the Frobenius number F is the highest zero bit of such a mask, grown from
+  a lower bound on F until it holds F + 2*max bits (``_frobenius_bound``,
+  which the oracle shares), so its length follows F, not Schur's bound;
 * representation search keeps one mask per exact coefficient count t, so a
   witness with coefficient sum t costs O(len(gens) * t) big-integer
   operations, however large the target.
@@ -160,15 +163,50 @@ def find_representation_with_sum(
     return Representation(_lex_smallest(b, entries, layers), b, entries)
 
 
+def _frobenius_floor(gens: tuple[int, ...]) -> int:
+    """A gap <= F of sorted gcd-1 positive gens: Sylvester's
+    F = g0*g1 - g0 - g1 for a pair; otherwise (s+1)*min - 1, s the largest
+    integer with s*(max - min) < min - 1.  That is a gap: a member below
+    (s+1)*min sums r <= s generators, so lies in [r*min, r*max], and
+    r*max < (s+1)*min - 1."""
+    if len(gens) == 2:
+        return gens[0] * gens[1] - gens[0] - gens[1]
+    return ((gens[0] - 2) // max(gens[-1] - gens[0], 1) + 1) * gens[0] - 1
+
+
+def _frobenius_bound(gens: tuple[int, ...], top: int) -> tuple[int, int | None]:
+    """(F + 2*max, mask) for sorted gcd-1 positive gens, the membership mask
+    holding at least 0..F + 2*max; or (a lower bound on F + 2*max, None)
+    once that bound passes top.
+
+    The bound starts from _frobenius_floor.  Each round builds the mask on
+    min(4*bound, top) + 1 bits and reads F as its highest zero bit.  That is
+    exact once F + 2*max < nbits, since the 2*max >= min members above it
+    admit every larger value; else F + 2*max >= nbits is the next bound.
+    """
+    bound = _frobenius_floor(gens) + 2 * gens[-1]
+    while bound <= top:
+        nbits = min(4 * bound, top) + 1
+        mask = _member_bits(gens, nbits)
+        bound = (~mask & ((1 << nbits) - 1)).bit_length() - 1 + 2 * gens[-1]
+        if bound < nbits:
+            return bound, mask
+    return bound, None
+
+
 def frobenius(gens: GensLike) -> int:
-    """Largest integer outside the semigroup; -1 when 1 is a generator: the
-    highest zero bit of the membership mask on Schur's bound (min-1)(max-1)."""
-    entries = _entries(gens)
+    """Largest integer outside the semigroup; -1 when 1 is a generator.
+
+    Read off a membership mask grown from a lower bound on F (see
+    _frobenius_bound), never past Schur's bound F < (min-1)(max-1).
+    """
+    entries = tuple(sorted(_entries(gens)))
     d = gcd(*entries)
     if d != 1:
         raise ValueError(f"frobenius number undefined: gcd({entries}) = {d}")
-    nbits = (min(entries) - 1) * (max(entries) - 1)
-    return (~_member_bits(entries, nbits) & ((1 << nbits) - 1)).bit_length() - 1
+    _check_positive(entries)
+    g0, gmax = entries[0], entries[-1]
+    return _frobenius_bound(entries, (g0 - 1) * (gmax - 1) + 2 * gmax)[0] - 2 * gmax
 
 
 def divisors(n: int) -> tuple[int, ...]:

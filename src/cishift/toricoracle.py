@@ -17,9 +17,10 @@ Two interchangeable engines compute the per-degree component counts:
   at once, eliminating the generators from the largest down: C(n, 3)
   AND/OR pairs for n generators.  Marking each component at its smallest
   vertex, is_ci_oracle reads mu as the marks' popcount minus that of their
-  union, with no per-degree profile.  Degrees run to F + 2*max; a lower
-  bound on F, (s+1)*min - 1 with s*(max - min) < min - 1, refuses inputs
-  too large for the masks before any mask is built (see _frobenius_floor).
+  union, with no per-degree profile.  Degrees run to F + 2*max.  F is read
+  off the membership mask itself, grown from a lower bound on F and never
+  past the length at which the masks would pass MAX_ORACLE_BITS; an input
+  whose F is not exact there is refused (see _prepare).
 * "enumerate" lists every factorization per degree (depth-first, subject to
   a cap) and unions them coordinate by coordinate, exactly mirroring the
   definition.  It exists as the slow reference path.
@@ -30,19 +31,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import CapExceededError
-from .semigroup import GensLike, _entries, _member_bits
+from .semigroup import GensLike, _entries, _frobenius_bound
 from .seqcore import GeneratorSequence, normalize
 
 DEFAULT_FACTORIZATION_CAP = 50_000
 
-# the oracle refuses an input whose Schur-sized membership mask, or whose
-# len(gens)^2 masks sized by the degree bound, would hold more bits than this,
+# the oracle refuses an input whose len(gens)^2 vertex and edge masks, sized
+# by the degree bound, would hold more bits than this,
 MAX_ORACLE_BITS = 1 << 30
-# or whose closure, charged len(gens)^3 times the degree bound in bit
-# operations (about six times its C(n, 3) AND/OR pairs), would take more:
-# intervals 160..319 and 200..399 take 0.16 s (3.3e9) and 0.31 s (8.0e9) on one core
+# or whose closure, charged its C(len(gens), 3) AND/OR pairs times the degree
+# bound in bit operations, would take more: intervals 220..439 and 300..599
+# take 0.45 s (1.9e9) and 1.1 s (6.7e9) on one core
 MAX_CLOSURE_WORK = 1 << 33
 
 
@@ -191,23 +193,14 @@ def _disconnected_degrees(gens: tuple[int, ...], mask: int, upto: int) -> dict[i
     return out
 
 
-def _refuse_oversized(entries: tuple[int, ...], amount: int, limit: int, unit: str,
-                      about: str = "about") -> None:
+def _refuse_oversized(entries: tuple[int, ...], amount: int, limit: int, unit: str) -> None:
     if amount > limit:
         if len(entries) > 8:
             head = ", ".join(map(str, entries[:3]))
             name = f"{len(entries)} generators ({head}, ..., {entries[-1]})"
         else:
             name = str(entries)
-        raise CapExceededError(f"oracle for {name} needs {about} {amount} {unit}, more than {limit}")
-
-
-def _frobenius_floor(g0: int, gmax: int) -> int:
-    """(s+1)*g0 - 1 <= F for gens g0 < ... < gmax (or g0 = gmax = 1), s the
-    largest integer with s*(gmax - g0) < g0 - 1.  It is a gap: a member below
-    (s+1)*g0 sums r <= s generators, so lies in [r*g0, r*gmax], and
-    r*gmax < (s+1)*g0 - 1."""
-    return ((g0 - 2) // max(gmax - g0, 1) + 1) * g0 - 1
+        raise CapExceededError(f"oracle for {name} needs at least {amount} {unit}, more than {limit}")
 
 
 def _prepare(seq: GeneratorSequence) -> tuple:
@@ -215,30 +208,19 @@ def _prepare(seq: GeneratorSequence) -> tuple:
     over rgens and the membership mask of rgens on at least 0..B.  B suffices:
     past it every b - g - h exceeds F, so every pair of generators is joined.
 
-    Before any mask, n^2 masks sized by _frobenius_floor's lower bound on B
-    are refused on "at least" that many mask bits.  Past that, the mask is
-    sized by Schur's bound F < (min-1)(max-1), cut where n^2 masks of B bits
-    would pass MAX_ORACLE_BITS; F is its highest zero bit.  An F past the cut
-    leaves a gap in the mask's top min bits (min members in a row would admit
-    every larger value), so the B read off, then again a lower bound, exceeds
-    the cut too.
+    The mask grows from a lower bound on B, never past the
+    MAX_ORACLE_BITS // n^2 + 1 bits at which n^2 masks of B bits would pass
+    the cap (see semigroup._frobenius_bound).  A B not exact there is a
+    lower bound that already passes the cap, refused on "at least" that many
+    mask bits; an exact B never is.  The closure is charged its C(n, 3)
+    AND/OR pairs of B bits.
     """
     d, reduced = normalize(seq)
     rgens = reduced.gens
-    g0, gmax, n = rgens[0], rgens[-1], len(rgens)
-    # the uncut mask, of fewer than min*max + 2*max bits, must fit too, or a
-    # pair such as 30000, 59999 would build 2^28 bits before its refusal
-    _refuse_oversized(seq.gens, g0 * gmax + 2 * gmax, MAX_ORACLE_BITS, "mask bits")
-    low = _frobenius_floor(g0, gmax) + 2 * gmax
-    _refuse_oversized(seq.gens, n * n * low, MAX_ORACLE_BITS, "mask bits", "at least")
-    nbits = min((g0 - 1) * (gmax - 1) + 2 * gmax, MAX_ORACLE_BITS // (n * n) + 1)
-    mask = _member_bits(rgens, nbits)
-    F = (~mask & ((1 << nbits) - 1)).bit_length() - 1
-    B = F + 2 * gmax
-    # n(n+1)/2 vertex and edge masks of about B bits, then the closure
-    cut = "at least" if F + g0 >= nbits else "about"
-    _refuse_oversized(seq.gens, n * n * B, MAX_ORACLE_BITS, "mask bits", cut)
-    _refuse_oversized(seq.gens, n**3 * B, MAX_CLOSURE_WORK, "closure bit operations")
+    n = len(rgens)
+    B, mask = _frobenius_bound(rgens, MAX_ORACLE_BITS // (n * n))
+    _refuse_oversized(seq.gens, n * n * B, MAX_ORACLE_BITS, "mask bits")
+    _refuse_oversized(seq.gens, comb(n, 3) * B, MAX_CLOSURE_WORK, "closure bit operations")
     return d, rgens, B, mask
 
 
@@ -248,9 +230,8 @@ def betti_profile(gens: GensLike, *, engine: str = "graph") -> BettiProfile:
 
     An unknown engine raises ValueError before any mask is built.  Inputs
     over MAX_ORACLE_BITS or MAX_CLOSURE_WORK raise CapExceededError before
-    the vertex and edge masks are built: the Schur-sized membership mask and
-    the masks at a lower bound on B are checked first, then the masks and the
-    closure, once, at the bound.
+    the vertex and edge masks are built, and no membership mask passes the
+    length at which the former would be exceeded.
     """
     if engine not in ("graph", "enumerate"):
         raise ValueError(f"unknown engine {engine!r}")

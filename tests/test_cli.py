@@ -140,11 +140,10 @@ def test_hostile_oracle_input_exits_three_fast(capsys, command):
 
 
 def test_slow_oracle_closure_exits_three_fast(capsys):
-    # 450 generators pass both mask checks, but closing their reach masks
-    # would take about 2e11 bit operations; 2000..2018, 500000 builds its
-    # membership mask cut at 2.7 million bits, not the 1e9 bits of Schur's
-    # bound, and is refused on the closure at the bound read off it
-    for gens in (range(450, 900), [*range(2000, 2019), 500000]):
+    # 400 and 450 generators pass the mask check, but closing their masks
+    # would take C(n, 3) AND/OR pairs of about 2,000 bits: 2.1e10 and 3.4e10
+    # bit operations
+    for gens in (range(400, 800), range(450, 900)):
         start = time.perf_counter()
         code, _, err = run(capsys, "oracle", ",".join(map(str, gens)))
         assert code == 3
@@ -153,9 +152,9 @@ def test_slow_oracle_closure_exits_three_fast(capsys):
 
 
 def test_wide_oracle_input_exits_three_before_any_mask(capsys):
-    # 2,000 generators: their Schur-sized membership mask of 8 million bits
-    # passes the mask check but would take half a minute to build; a lower
-    # bound on F already makes their masks too large
+    # 2,000 generators: a membership mask of 8 million bits would take half
+    # a minute to build; a lower bound on F already makes their masks too
+    # large
     start = time.perf_counter()
     code, _, err = run(capsys, "oracle", ",".join(map(str, range(2000, 4000))))
     assert code == 3
@@ -164,6 +163,15 @@ def test_wide_oracle_input_exits_three_before_any_mask(capsys):
     # the error names the input by its count and ends, not all 2,000 entries
     assert len(err.encode()) < 200
     assert "2000" in err and "3999" in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_far_entry_oracle_input_answered(capsys, command):
+    # Schur's bound would size the membership mask at 1.2e9 bits; F + 2*max
+    # needs 3.4 million
+    code, out, _ = run(capsys, command, "1000,1001,1200000", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["mu"] == 2
 
 
 def test_far_frobenius_oracle_input_exits_three_fast(capsys):

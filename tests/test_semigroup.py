@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from cishift import clear_caches
 from cishift.delorme import certificate_to_json, is_complete_intersection
 from cishift.semigroup import (
+    _frobenius_floor,
+    _member_bits,
     divisors,
     find_representation,
     find_representation_with_sum,
@@ -301,11 +303,64 @@ class TestFrobenius:
         with pytest.raises(ValueError):
             frobenius((4, 6))
 
+    @pytest.mark.parametrize("gens", [(0, 1, 3), (-3, -2, 5), (-1, 2)])
+    def test_rejects_nonpositive(self, gens):
+        # gcd 1; the first two start from a lower bound on F past Schur's
+        # bound, so no mask would be built to reject them
+        with pytest.raises(ValueError):
+            frobenius(gens)
+
     def test_is_last_gap(self):
         for gens in [(3, 5), (5, 6, 7), (4, 9, 11), (3, 7, 8)]:
             f = frobenius(gens)
             assert not is_member(f, gens)
             assert all(is_member(v, gens) for v in range(f + 1, f + 40))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 7).flatmap(
+            lambda n: st.lists(st.integers(1, 300), min_size=n, max_size=n, unique=True)
+        )
+        .map(lambda xs: tuple(sorted(xs)))
+        .filter(lambda g: gcd(*g) == 1)
+    )
+    def test_frobenius_floor_is_a_gap(self, gens):
+        # the lower bound the masks grow from never passes F, and is F on pairs
+        floor = _frobenius_floor(gens)
+        assert floor <= frobenius(gens)
+        assert floor < 0 or not _member_bits(gens, floor + 1) >> floor & 1
+        if len(gens) == 2:
+            assert floor == frobenius(gens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(1, 2000), min_size=2, max_size=7, unique=True),
+            # small entries and one large one
+            st.tuples(
+                st.lists(st.integers(1, 60), min_size=1, max_size=6, unique=True),
+                st.integers(61, 2000),
+            ).map(lambda t: t[0] + [t[1]]),
+        )
+        .map(lambda xs: tuple(sorted(xs)))
+        .filter(lambda g: gcd(*g) == 1)
+    )
+    def test_matches_schur_sized_mask(self, gens):
+        # the reference reads F off one mask on Schur's bound (min-1)(max-1)
+        nbits = (gens[0] - 1) * (gens[-1] - 1)
+        schur = (~_member_bits(gens, nbits) & ((1 << nbits) - 1)).bit_length() - 1
+        assert frobenius(gens) == schur
+
+    def test_far_entry_builds_a_short_mask(self):
+        # Schur's bound would size the mask at 1.2e8 bits (15 MiB); the mask
+        # grown from the lower bound stops at a few million
+        tracemalloc.start()
+        try:
+            assert frobenius((1000, 1001, 120000)) == 998999
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestDivisors:

@@ -2,13 +2,13 @@ import hashlib
 import itertools
 import random
 import tracemalloc
-from math import gcd
+from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cishift import toricoracle
+from cishift import semigroup, toricoracle
 from cishift.delorme import is_complete_intersection
 from cishift.errors import CapExceededError
 from cishift.semigroup import _member_bits, frobenius
@@ -172,26 +172,24 @@ class TestBettiProfile:
             return _member_bits(gens, nbits)
 
         # the vertex and edge masks are built by the closure, after every
-        # refusal, and the membership mask stops where n^2 masks of the bound
-        # would pass the cap
+        # refusal, and no membership mask passes the length at which n^2
+        # masks of the bound would pass the cap
         monkeypatch.setattr(toricoracle, "_component_firsts", refuse)
-        monkeypatch.setattr(toricoracle, "_member_bits", member_bits)
+        monkeypatch.setattr(semigroup, "_member_bits", member_bits)
         for gens, unit, no_mask in [
             # 600^2 masks at the lower bound 2,997 on B, which is exact here
             (tuple(range(600, 1200)), "at least .* mask bits", True),
-            # the masks fit, but closing them would take 450^3 * 2,247 bit
-            # operations
-            (tuple(range(450, 900)), "about .* closure bit operations", False),
-            # the uncut membership mask would take 1e9 bits and over a minute
-            # to build; cut at 2.7 million bits, it gives B = F + 1e6
-            (tuple(range(2000, 2019)) + (500000,), "about .* closure bit operations", False),
+            # the masks fit, but closing them would take C(450, 3) * 2,247
+            # bit operations
+            (tuple(range(450, 900)), "at least .* closure bit operations", False),
             # the lower bound on F refuses these before any mask: 10000..10019
             # needs at least 400 * (527 * 10000 - 1 + 2 * 10019) mask bits
             (tuple(range(10000, 10020)), "at least 2116014800 mask bits", True),
             (tuple(range(20000, 20020)), "at least .* mask bits", True),
             ((30000, 30001, 30002), "at least .* mask bits", True),
-            # F is at least 29,999 only, but Schur's bound refuses the mask
-            ((30000, 59998, 59999), "about .* mask bits", True),
+            # F is at least 29,999 only: the masks grow to the cut, and F is
+            # still not exact there
+            ((30000, 59998, 59999), "at least .* mask bits", False),
         ]:
             limit = -1 if no_mask else toricoracle.MAX_ORACLE_BITS // len(gens) ** 2 + 1
             with pytest.raises(CapExceededError, match=unit):
@@ -204,12 +202,24 @@ class TestBettiProfile:
         with pytest.raises(CapExceededError):
             is_ci_oracle((100000, 100001, 100002))
 
+    def test_far_entry_answered_at_the_real_bound(self):
+        # the mask is cut at MAX_ORACLE_BITS // n^2 + 1 bits, not at Schur's
+        # bound: 2000..2018, 500000 needs 2.7 million bits, (1000, 1001,
+        # 1200000) 9.6 million, and the shift j = 33,000 of (11, 16, 28) is
+        # answered at B = 39,204,141 < 2^30 / 16
+        profile = betti_profile(tuple(range(2000, 2019)) + (500000,))
+        assert (profile.bound, profile.mu) == (1_223_999, 171)
+        profile = betti_profile((1000, 1001, 1200000))
+        assert (profile.bound, profile.mu) == (3_398_999, 2)
+        profile = betti_profile((33000, 33011, 33016, 33028))
+        assert (profile.bound, profile.mu) == (39_204_141, 4)
+
     @pytest.mark.parametrize("gens", [(8177, 8188, 8193, 8205), (100000, 100001)])
     def test_unknown_engine_refused_before_any_mask(self, monkeypatch, gens):
         def refuse(*args):
             raise AssertionError("a mask was built")
 
-        monkeypatch.setattr(toricoracle, "_member_bits", refuse)
+        monkeypatch.setattr(semigroup, "_member_bits", refuse)
         with pytest.raises(ValueError, match="unknown engine 'nope'"):
             betti_profile(gens, engine="nope")
 
@@ -279,8 +289,8 @@ class TestClosureReference:
         )
 
     def test_closure_memory_stays_with_the_masks(self):
-        # 80 generators: 246,480 closure steps on 3,240 masks of 557 bits,
-        # which take about 0.4 MiB
+        # 80 generators: 82,160 AND/OR pairs on 3,160 edge masks of 557
+        # bits, which take about 0.4 MiB
         gens = tuple(range(80, 160))
         upto = frobenius(gens) + 3 * gens[-1]
         mask = _member_bits(gens, upto + 1)
@@ -330,42 +340,33 @@ class TestOracleProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(st.integers(2, 120), min_size=3, max_size=6, unique=True)
-        .map(lambda xs: tuple(sorted(xs)))
-        .filter(lambda g: gcd(*g) == 1),
-        st.integers(10, 16),
+        st.tuples(
+            st.lists(st.integers(2, 120), min_size=2, max_size=6, unique=True),
+            st.lists(st.integers(121, 30000), max_size=1),
+        )
+        .map(lambda t: tuple(sorted(t[0] + t[1])))
+        .filter(lambda g: len(g) >= 3 and gcd(*g) == 1),
+        st.integers(10, 20),
     )
+    # with a far entry, Schur's bound min*max + 2*max can pass the cap where
+    # n^2 masks of B do not: these are answered
+    @example((40, 41, 2001), 16)
+    @example((100, 101, 103, 107, 20000), 20)
     def test_caps_decide_on_the_real_bound(self, gens, log_bits):
         # with the cap lowered, the membership mask is mostly cut short of
-        # Schur's bound; the refusal must still follow the true B
-        n, gmax = len(gens), gens[-1]
-        bound = frobenius(gens) + 2 * gmax
-        expected = betti_profile(gens)
+        # F + 2*max; the refusal must still follow the true B
+        n = len(gens)
+        bound = frobenius(gens) + 2 * gens[-1]
+        refused = (n * n * bound > 1 << log_bits
+                   or comb(n, 3) * bound > toricoracle.MAX_CLOSURE_WORK)
+        expected = None if refused else betti_profile(gens)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(toricoracle, "MAX_ORACLE_BITS", 1 << log_bits)
-            if (
-                gens[0] * gmax + 2 * gmax > 1 << log_bits
-                or n * n * bound > 1 << log_bits
-                or n**3 * bound > toricoracle.MAX_CLOSURE_WORK
-            ):
+            if refused:
                 with pytest.raises(CapExceededError):
                     betti_profile(gens)
             else:
                 assert betti_profile(gens) == expected
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(2, 7).flatmap(
-            lambda n: st.lists(st.integers(1, 300), min_size=n, max_size=n, unique=True)
-        )
-        .map(lambda xs: tuple(sorted(xs)))
-        .filter(lambda g: gcd(*g) == 1)
-    )
-    def test_frobenius_floor_is_a_gap(self, gens):
-        # the lower bound that refuses inputs before any mask never passes F
-        floor = toricoracle._frobenius_floor(gens[0], gens[-1])
-        assert floor <= frobenius(gens)
-        assert floor < 0 or not _member_bits(gens, floor + 1) >> floor & 1
 
     @settings(max_examples=100, deadline=None)
     @given(gcd_one_sequences.filter(lambda g: len(g) <= 5))
