@@ -5,12 +5,17 @@ from big-integer bitsets whose bit v stands for the value v:
 
 * membership reads one shift-or mask, built by ``_member_bits`` in
   O(len(gens) * log(b)) big-integer operations;
-* the Frobenius number F is the highest zero bit of such a mask, grown from
-  a lower bound on F until it holds F + 2*max bits (``_frobenius_bound``,
+* the Frobenius number F of a pair is Sylvester's, read with no mask; of
+  more generators it is the highest zero bit of such a mask, grown from a
+  lower bound on F until it holds F + 2*max bits (``_frobenius_bound``,
   which the oracle shares), so its length follows F, not Schur's bound;
 * representation search keeps one mask per exact coefficient count t, so a
   witness with coefficient sum t costs O(len(gens) * t) big-integer
   operations, however large the target.
+
+Generators are checked once, where input enters (``_entries``): a
+GeneratorSequence was checked when it was built, and any other sequence must
+hold only positive entries.  The bitset kernels take that for granted.
 
 Nothing is kept between calls: each membership query builds its mask just
 long enough to reach its target, and drops it on return.
@@ -32,7 +37,11 @@ GensLike = GeneratorSequence | Sequence[int]
 def _entries(gens: GensLike) -> tuple[int, ...]:
     if isinstance(gens, GeneratorSequence):
         return gens.gens
-    return tuple(gens)
+    entries = tuple(gens)
+    # a generator 0 would keep the bitset loops below from ever terminating
+    if min(entries, default=1) < 1:
+        raise ValueError(f"generators must be positive, got {entries}")
+    return entries
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,19 +66,12 @@ class Representation:
         return sum(self.coefficients)
 
 
-def _check_positive(gens: tuple[int, ...]) -> None:
-    # a generator 0 would keep the bitset loops below from ever terminating
-    if min(gens, default=1) < 1:
-        raise ValueError(f"generators must be positive, got {gens}")
-
-
 def _member_bits(gens: tuple[int, ...], nbits: int) -> int:
     """Bitmask integer with bit v set iff v is in the semigroup, v < nbits.
 
     Shift-or closure: after OR-ing in the mask shifted by g, 2g, 4g, ...,
     the set is closed under adding any multiple of g below nbits.
     """
-    _check_positive(gens)
     full = (1 << nbits) - 1
     mask = 1
     for g in gens:
@@ -84,8 +86,6 @@ def is_member(b: int, gens: GensLike) -> bool:
     """True iff b is a non-negative integer combination of the generators."""
     if b < 0:
         raise ValueError(f"membership target must be non-negative, got {b}")
-    if b == 0:
-        return True
     return bool(_member_bits(_entries(gens), b + 1) >> b & 1)
 
 
@@ -96,7 +96,6 @@ def _count_layers(b: int, gens: tuple[int, ...]):
     layer[len(gens)] is the empty tail; each layer costs len(gens) big-int
     operations, via R_i[t] = R_{i+1}[t] | (R_i[t-1] << g_i).
     """
-    _check_positive(gens)
     n = len(gens)
     full = (1 << (b + 1)) - 1
     layer = [1] * (n + 1)
@@ -197,14 +196,16 @@ def _frobenius_bound(gens: tuple[int, ...], top: int) -> tuple[int, int | None]:
 def frobenius(gens: GensLike) -> int:
     """Largest integer outside the semigroup; -1 when 1 is a generator.
 
-    Read off a membership mask grown from a lower bound on F (see
-    _frobenius_bound), never past Schur's bound F < (min-1)(max-1).
+    A pair's F is Sylvester's, read with no mask.  Otherwise F is read off a
+    membership mask grown from a lower bound on F (see _frobenius_bound),
+    never past Schur's bound F < (min-1)(max-1).
     """
     entries = tuple(sorted(_entries(gens)))
     d = gcd(*entries)
     if d != 1:
         raise ValueError(f"frobenius number undefined: gcd({entries}) = {d}")
-    _check_positive(entries)
+    if len(entries) == 2:
+        return _frobenius_floor(entries)
     g0, gmax = entries[0], entries[-1]
     return _frobenius_bound(entries, (g0 - 1) * (gmax - 1) + 2 * gmax)[0] - 2 * gmax
 

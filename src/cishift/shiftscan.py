@@ -8,7 +8,8 @@ closed-form tests implemented here for n = 2 and n = 3 and the witness
 extraction for general n.
 
 The printed closed forms need two corrections taken from the underlying
-split analysis, both exercised by the test suite:
+split analysis, both exercised by the test suite and both coded once, in
+``_singleton_splits``, the split search the n = 2 and n = 3 tests share:
 
 * the scaling k may be any divisor of the relevant gcd, not only the full
   gcd, and the singleton side must admit a cofactor k' with k' | k,
@@ -200,11 +201,23 @@ def eventual_report(
     )
 
 
-def _cofactors(k: int, singleton: int):
-    """Valid cofactors k' | gcd(k, singleton) with k' != k and coprime quotient."""
-    for kp in divisors(gcd(k, singleton)):
-        if kp != k and gcd(singleton // kp, k) == 1:
-            yield kp
+def _singleton_splits(j: int, removed: int, rest: tuple[int, ...]):
+    """Yield (k, kp, rep) for each split of j+removed against the scaled rest
+    (j, j+rest...)/k that passes the two corrections of the module
+    docstring: k >= 2 runs over the divisors of gcd(j, *rest), descending,
+    and kp over the cofactors kp | gcd(k, j+removed), kp != k, with
+    gcd((j+removed)/kp, k) = 1.  A split is yielded only when (j+removed)/kp
+    is a member of the scaled rest; rep is its representation by exactly
+    k/kp generators, or None.
+    """
+    for k in reversed(divisors(gcd(j, *rest))):
+        if k < 2:
+            continue
+        gens = (j // k, *((j + u) // k for u in rest))
+        for kp in divisors(gcd(k, j + removed)):
+            target = (j + removed) // kp
+            if kp != k and gcd(target, k) == 1 and is_member(target, gens):
+                yield k, kp, find_representation_with_sum(target, gens, k // kp)
 
 
 def n2_criterion(a: int, b: int, j: int) -> N2Witness | None:
@@ -225,25 +238,17 @@ def n2_criterion(a: int, b: int, j: int) -> N2Witness | None:
     bound = max(a * b, b * (b - a))
     if j < bound:
         raise ValueError(f"shift {j} below the criterion threshold {bound}")
-    for k in reversed(divisors(gcd(j, b))):
-        if k < 2:
-            continue
-        for kp in _cofactors(k, j + a):
-            pair = (j // k, (j + b) // k)
-            target = (j + a) // kp
-            if not is_member(target, pair):
-                continue
-            rep = find_representation_with_sum(target, pair, k // kp)
-            assert rep is not None
-            alpha, beta = (kp * c for c in rep.coefficients)
-            s_gcd = gcd(a, b - a)
-            witness = N2Witness(a, b, j, k, alpha, beta, s_gcd)
-            if b != s_gcd * k:
-                logger.debug(
-                    "n2 witness at (a=%d, b=%d, j=%d): b != gcd(a, b-a) * k "
-                    "(%d != %d * %d)", a, b, j, b, s_gcd, k,
-                )
-            return witness
+    for k, kp, rep in _singleton_splits(j, a, (b,)):
+        assert rep is not None
+        alpha, beta = (kp * c for c in rep.coefficients)
+        s_gcd = gcd(a, b - a)
+        witness = N2Witness(a, b, j, k, alpha, beta, s_gcd)
+        if b != s_gcd * k:
+            logger.debug(
+                "n2 witness at (a=%d, b=%d, j=%d): b != gcd(a, b-a) * k "
+                "(%d != %d * %d)", a, b, j, b, s_gcd, k,
+            )
+        return witness
     return None
 
 
@@ -283,27 +288,19 @@ def n3_criterion(a: int, b: int, c: int, j: int) -> N3Witness | None:
     if j % (c // gcd(a, b, c)):
         return None
     for s, removed, (u, v) in ((1, a, (b, c)), (2, b, (a, c))):
-        for k in reversed(divisors(gcd(u, v))):
-            if k < 2 or j % k:
+        for k, kp, rep in _singleton_splits(j, removed, (u, v)):
+            if rep is None:
                 continue
-            for kp in _cofactors(k, j + removed):
-                triple = (j // k, (j + u) // k, (j + v) // k)
-                target = (j + removed) // kp
-                if not is_member(target, triple):
-                    continue
-                rep = find_representation_with_sum(target, triple, k // kp)
-                if rep is None:
-                    continue
-                jp, up, vp = j // k, u // k, v // k
-                if jp >= max(up * vp, vp * (vp - up)):
-                    rest_ci = n2_criterion(up, vp, jp) is not None
-                else:
-                    rest_ci = ci_at(BaseSequence((up, vp)), jp) is not None
-                if not rest_ci:
-                    continue
-                alpha, beta, gamma = (kp * coeff for coeff in rep.coefficients)
-                m = None if j % c else j // c
-                return N3Witness(a, b, c, j, s, k, m, alpha, beta, gamma)
+            jp, up, vp = j // k, u // k, v // k
+            if jp >= max(up * vp, vp * (vp - up)):
+                rest_ci = n2_criterion(up, vp, jp) is not None
+            else:
+                rest_ci = ci_at(BaseSequence((up, vp)), jp) is not None
+            if not rest_ci:
+                continue
+            alpha, beta, gamma = (kp * coeff for coeff in rep.coefficients)
+            m = None if j % c else j // c
+            return N3Witness(a, b, c, j, s, k, m, alpha, beta, gamma)
     return None
 
 

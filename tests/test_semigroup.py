@@ -189,12 +189,16 @@ class TestMembership:
             is_member(-1, (2, 3))
 
     def test_nonpositive_generators_rejected(self):
-        for gens in [(0, 3), (-2, 5)]:
-            with pytest.raises(ValueError):
-                is_member(7, gens)
-            with pytest.raises(ValueError):
+        positive = "generators must be positive"
+        for gens in [(0, 3), (-2, 5), (-1, 3)]:
+            # 0 is checked like any other target, though its 1-bit mask needs
+            # no generator
+            for b in (0, 7):
+                with pytest.raises(ValueError, match=positive):
+                    is_member(b, gens)
+            with pytest.raises(ValueError, match=positive):
                 find_representation(7, gens)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=positive):
                 find_representation_with_sum(7, gens, 2)
 
     def test_matches_naive_enumeration(self):
@@ -305,9 +309,10 @@ class TestFrobenius:
 
     @pytest.mark.parametrize("gens", [(0, 1, 3), (-3, -2, 5), (-1, 2)])
     def test_rejects_nonpositive(self, gens):
-        # gcd 1; the first two start from a lower bound on F past Schur's
-        # bound, so no mask would be built to reject them
-        with pytest.raises(ValueError):
+        # gcd 1, and no mask would be built for them (the first two start
+        # from a lower bound on F past Schur's bound, the pair from
+        # Sylvester's formula), so only the generator check rejects them
+        with pytest.raises(ValueError, match="generators must be positive"):
             frobenius(gens)
 
     def test_is_last_gap(self):
@@ -357,6 +362,17 @@ class TestFrobenius:
         tracemalloc.start()
         try:
             assert frobenius((1000, 1001, 120000)) == 998999
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    def test_pair_builds_no_mask(self):
+        # Sylvester's formula; a mask holding F + 2*max would take 2.0e8
+        # bits (24 MiB)
+        tracemalloc.start()
+        try:
+            assert frobenius((10000, 19999)) == 199_960_001
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -235,6 +236,26 @@ class TestShiftCertificateDigest:
                     cert = ci_at(base, j)
                     text = "null" if cert is None else certificate_to_json(cert)
                     digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestClosedFormDigest:
+    # SHA-256 of repr(output) + "\n" for n2_criterion on 1 <= a < b <= 24 at
+    # j in [max(ab, b(b-a)), that + 3b] and [10000, 10000 + 2b), then for
+    # n3_criterion on 1 <= a < b < c <= 16 at j in (c^2, c^2 + 3c]: 44,696
+    # outputs, None or a witness
+    DIGEST = "309e9e8213315cb8b438fef9b52bd0952b4667f951001325ad64cd018daeaafe"
+
+    def test_outputs_unchanged(self):
+        digest = hashlib.sha256()
+        for a, b in itertools.combinations(range(1, 25), 2):
+            low = max(a * b, b * (b - a))
+            shifts = itertools.chain(range(low, low + 3 * b + 1), range(10000, 10000 + 2 * b))
+            for j in shifts:
+                digest.update((repr(n2_criterion(a, b, j)) + "\n").encode())
+        for a, b, c in itertools.combinations(range(1, 17), 3):
+            for j in range(c * c + 1, c * c + 3 * c + 1):
+                digest.update((repr(n3_criterion(a, b, c, j)) + "\n").encode())
         assert digest.hexdigest() == self.DIGEST
 
 

@@ -29,6 +29,9 @@ class TestFactorizations:
         assert factorizations(6, (2, 3)).vectors == ((0, 2), (3, 0))
         assert factorizations(0, (5, 9)).vectors == ((0, 0),)
         assert factorizations(7, (3, 5)).vectors == ()
+        for gens in [(-2, 3), (0, 3)]:
+            with pytest.raises(ValueError, match="generators must be positive"):
+                factorizations(6, gens)
 
     def test_lexicographic_order(self):
         fset = factorizations(24, (2, 3, 4))
