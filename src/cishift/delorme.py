@@ -10,6 +10,12 @@ Both work on gcd-normalized sequences.  A valid split of one has gcd(B1) =
 gcd(B2) = 1, so k1 and k2 are the gcds of the two sides and the recursion
 never normalizes again: gcd(B1) divides every left entry, and k2 through the
 witness of k2 in <B1>, so every right entry too; likewise for B2.
+
+The split search skips a bipartition when a side of gcd 1 faces a side whose
+smallest entry is not that side's gcd; no valid split can come from it, on
+any input.  Proof: gcd(left) = 1 gives k1 = 1, and 1 in <right/k2> needs k2
+to be a right entry, while k2 | gcd(right) <= min(right), so
+k2 = gcd(right) = min(right); likewise with the sides swapped.
 """
 
 from __future__ import annotations
@@ -84,27 +90,42 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(compress(count(), bits))
 
 
-def _iter_bipartitions(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # left part encoded as a bitmask over indices 0..m-1, ascending
-    full = (1 << m) - 1
-    for mask in range(1, full):
-        yield _indices(mask), _indices(full ^ mask)
+# one valid split: (left, right, k1, k2, left_reduced, right_reduced)
+_SplitTuple = tuple[tuple[int, ...], tuple[int, ...], int, int, tuple[int, ...], tuple[int, ...]]
 
 
-def _iter_splits(entries: tuple[int, ...]) -> Iterator[DelormeSplit]:
-    """All valid splits in canonical order: left bitmask ascending, then k1
-    descending, then k2 descending.
+def _iter_splits(entries: tuple[int, ...]) -> Iterator[_SplitTuple]:
+    """All valid splits of increasing entries in canonical order, as plain
+    tuples (left, right, k1, k2, left_reduced, right_reduced): left bitmask
+    ascending, then k1 descending, then k2 descending.
 
-    k1 runs over the divisors of the left side's gcd and k2 over those of
-    the right side's; each pair with gcd(k1, k2) = 1 costs the membership
-    query k1 in <right reduced>, and k2 in <left reduced> if that holds.
+    Each side's gcd is read off a table of all 2^m subset gcds, built with
+    one gcd per subset.  A bipartition is skipped when a side of gcd 1 faces
+    a side whose smallest entry is not that side's gcd.
+    Proof: gcd(left) = 1 gives k1 = 1, and 1 in <right/k2> needs k2 to be a
+    right entry, while k2 | gcd(right) <= min(right), so k2 = gcd(right) =
+    min(right); likewise with the sides swapped.  In every other bipartition k1 runs over the
+    divisors of the left side's gcd and k2 over those of the right side's;
+    each pair with gcd(k1, k2) = 1 costs the membership query k1 in <right
+    reduced>, and k2 in <left reduced> if that holds.
     """
+    gcds = [0]  # gcds[mask]: gcd of the entries whose bits mask sets
+    for v in entries:
+        gcds += [gcd(g, v) for g in gcds]
+    full = len(gcds) - 1
     value = entries.__getitem__
-    for left, right in _iter_bipartitions(len(entries)):
+    for mask in range(1, full):
+        rmask = full ^ mask
+        gl, gr = gcds[mask], gcds[rmask]
+        # entries increase, so a side's smallest entry sits at its lowest set bit
+        if gl == 1 and gr != value((rmask & -rmask).bit_length() - 1):
+            continue
+        if gr == 1 and gl != value((mask & -mask).bit_length() - 1):
+            continue
+        left, right = _indices(mask), _indices(rmask)
         left_vals = tuple(map(value, left))
         right_vals = tuple(map(value, right))
-        gr = gcd(*right_vals)
-        for k1 in reversed(divisors(gcd(*left_vals))):
+        for k1 in reversed(divisors(gl)):
             left_red = tuple(v // k1 for v in left_vals)
             for k2 in reversed(divisors(gr)):
                 if gcd(k1, k2) != 1:
@@ -114,17 +135,17 @@ def _iter_splits(entries: tuple[int, ...]) -> Iterator[DelormeSplit]:
                     continue
                 if not is_member(k2, left_red):
                     continue
-                yield DelormeSplit(
-                    left, right, k1, k2,
-                    GeneratorSequence(left_red), GeneratorSequence(right_red),
-                )
+                yield left, right, k1, k2, left_red, right_red
 
 
 def enumerate_splits(gens: GeneratorSequence) -> list[DelormeSplit]:
     """All valid splits of a sequence with at least three entries."""
     if len(gens) < 3:
         raise ValueError("splits are only enumerated for sequences of length >= 3")
-    return list(_iter_splits(gens.gens))
+    return [
+        DelormeSplit(left, right, k1, k2, GeneratorSequence(lr), GeneratorSequence(rr))
+        for left, right, k1, k2, lr, rr in _iter_splits(gens.gens)
+    ]
 
 
 # verdict cache keyed by the normalized entry tuple
@@ -160,14 +181,17 @@ def _decide(entries: tuple[int, ...]) -> CICertificate | None:
         _CI_MEMO[entries] = cert
         return cert
     cert = None
-    for split in _iter_splits(entries):
-        left_cert = _decide(split.left_reduced.gens)
-        right_cert = _decide(split.right_reduced.gens)
+    # split objects and witnesses are built for the certifying split only
+    for left, right, k1, k2, left_red, right_red in _iter_splits(entries):
+        left_cert = _decide(left_red)
+        right_cert = _decide(right_red)
         if left_cert is None or right_cert is None:
             continue
-        k1_witness = find_representation(split.k1, split.right_reduced)
-        k2_witness = find_representation(split.k2, split.left_reduced)
+        left_seq, right_seq = GeneratorSequence(left_red), GeneratorSequence(right_red)
+        k1_witness = find_representation(k1, right_seq)
+        k2_witness = find_representation(k2, left_seq)
         assert k1_witness is not None and k2_witness is not None
+        split = DelormeSplit(left, right, k1, k2, left_seq, right_seq)
         cert = SplitNode(split, k1_witness, k2_witness, left_cert, right_cert)
         break
     _CI_MEMO[entries] = cert

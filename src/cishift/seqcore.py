@@ -15,7 +15,7 @@ def _check_increasing(entries: tuple[int, ...], what: str) -> None:
     if not entries:
         raise ValueError(f"{what} must have at least one entry")
     for x in entries:
-        if not isinstance(x, int) or x < 1:
+        if type(x) is not int or x < 1:  # bool is an int subclass, so True == 1
             raise ValueError(f"{what} entries must be positive integers, got {x!r}")
     for a, b in zip(entries, entries[1:]):
         if a >= b:

@@ -12,7 +12,6 @@ from cishift.delorme import (
     Leaf,
     SplitNode,
     _indices,
-    _iter_bipartitions,
     certificate_from_dict,
     certificate_from_json,
     certificate_to_json,
@@ -31,7 +30,54 @@ def ci(gens):
     return is_complete_intersection(GeneratorSequence(gens))
 
 
+def _reachable(b, gens):
+    """Membership of b in <gens> by a plain sieve over 0..b."""
+    reach = [True] + [False] * b
+    for x in range(1, b + 1):
+        reach[x] = any(g <= x and reach[x - g] for g in gens)
+    return reach[b]
+
+
+def reference_splits(gens):
+    """Every valid split by brute force, in canonical order: every bipartition,
+    every k1 | gcd(left) and k2 | gcd(right) with gcd(k1, k2) = 1, both
+    memberships, nothing skipped."""
+    m = len(gens)
+    found = []
+    for mask in range(1, (1 << m) - 1):
+        left = tuple(i for i in range(m) if mask >> i & 1)
+        right = tuple(i for i in range(m) if not mask >> i & 1)
+        left_vals = [gens[i] for i in left]
+        right_vals = [gens[i] for i in right]
+        gl, gr = gcd(*left_vals), gcd(*right_vals)
+        for k1 in [d for d in range(gl, 0, -1) if gl % d == 0]:
+            for k2 in [d for d in range(gr, 0, -1) if gr % d == 0]:
+                left_red = tuple(v // k1 for v in left_vals)
+                right_red = tuple(v // k2 for v in right_vals)
+                if gcd(k1, k2) == 1 and _reachable(k1, right_red) and _reachable(k2, left_red):
+                    found.append((left, right, k1, k2, left_red, right_red))
+    return found
+
+
 class TestEnumerateSplits:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, 30), min_size=3, max_size=6, unique=True)
+        .map(lambda xs: tuple(sorted(xs)))
+        .filter(lambda g: gcd(*g) == 1),
+        st.sampled_from([1, 2, 3, 4, 5, 6]),
+    )
+    def test_matches_unskipped_reference(self, gens, factor):
+        # factor 1 keeps sides of gcd 1, where bipartitions get skipped;
+        # factors 2-6 give every side a common factor and so many divisor pairs
+        scaled = tuple(factor * g for g in gens)
+        splits = [
+            (s.left_indices, s.right_indices, s.k1, s.k2,
+             s.left_reduced.gens, s.right_reduced.gens)
+            for s in enumerate_splits(GeneratorSequence(scaled))
+        ]
+        assert splits == reference_splits(scaled)
+
     def test_requires_three_entries(self):
         with pytest.raises(ValueError):
             enumerate_splits(GeneratorSequence((2, 3)))
@@ -93,11 +139,15 @@ class TestBipartitions:
                 )
                 for mask in range(1, (1 << m) - 1)
             ]
-            assert list(_iter_bipartitions(m)) == reference, m
+            full = (1 << m) - 1
+            sides = [(_indices(mask), _indices(full ^ mask)) for mask in range(1, full)]
+            assert sides == reference, m
 
     def test_side_index_cache_bounded_and_cleared(self):
         clear_caches()
-        assert ci(tuple(range(100, 114))) is None  # 2^14 - 2 bipartitions
+        # no side of 2*(100..113) has gcd 1, so none of its 2^14 - 2
+        # bipartitions is skipped and each reads its sides' indices
+        assert enumerate_splits(GeneratorSequence(tuple(range(200, 228, 2)))) == []
         info = _indices.cache_info()
         assert 0 < info.currsize <= info.maxsize
         clear_caches()

@@ -27,6 +27,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GeneratorSequence((-1, 4))
 
+    def test_bool_entries_rejected(self):
+        # True == 1 and hashes alike, so an accepted (True, 3) would sit in
+        # the decider's memo under the key (1, 3) and leak into its output
+        with pytest.raises(ValueError, match="positive integers"):
+            GeneratorSequence((True, 3))
+        with pytest.raises(ValueError, match="positive integers"):
+            BaseSequence((True, 2))
+
     def test_singleton_ok(self):
         assert BaseSequence((8,)).n == 1
         assert len(GeneratorSequence((5,))) == 1
