@@ -21,7 +21,6 @@ from .errors import (
     WindowTooLargeError,
 )
 from .semigroup import (
-    Representation,
     divisors,
     find_representation,
     find_representation_with_sum,

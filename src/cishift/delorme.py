@@ -25,15 +25,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd
+from operator import mul
 from typing import Iterator, Union
 
 from .errors import InvalidCertificateError
-from .semigroup import (
-    Representation,
-    divisors,
-    find_representation,
-    is_member,
-)
+from .semigroup import divisors, find_representation, is_member
 from .seqcore import GeneratorSequence, format_sequence, normalize
 
 
@@ -50,8 +46,8 @@ class DelormeSplit:
     right_indices: tuple[int, ...]
     k1: int
     k2: int
-    left_reduced: GeneratorSequence
-    right_reduced: GeneratorSequence
+    left_reduced: tuple[int, ...]
+    right_reduced: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,9 +59,12 @@ class Leaf:
 
 @dataclass(frozen=True, slots=True)
 class SplitNode:
+    """A valid split with the coefficients of k1 over right_reduced and of
+    k2 over left_reduced, and the certificates of its two reduced sides."""
+
     split: DelormeSplit
-    k1_witness: Representation
-    k2_witness: Representation
+    k1_witness: tuple[int, ...]
+    k2_witness: tuple[int, ...]
     left_cert: "CICertificate"
     right_cert: "CICertificate"
 
@@ -142,10 +141,7 @@ def enumerate_splits(gens: GeneratorSequence) -> list[DelormeSplit]:
     """All valid splits of a sequence with at least three entries."""
     if len(gens) < 3:
         raise ValueError("splits are only enumerated for sequences of length >= 3")
-    return [
-        DelormeSplit(left, right, k1, k2, GeneratorSequence(lr), GeneratorSequence(rr))
-        for left, right, k1, k2, lr, rr in _iter_splits(gens.gens)
-    ]
+    return [DelormeSplit(*split) for split in _iter_splits(gens.gens)]
 
 
 # verdict cache keyed by the normalized entry tuple
@@ -181,18 +177,17 @@ def _decide(entries: tuple[int, ...]) -> CICertificate | None:
         _CI_MEMO[entries] = cert
         return cert
     cert = None
-    # split objects and witnesses are built for the certifying split only
-    for left, right, k1, k2, left_red, right_red in _iter_splits(entries):
+    # the split object and witnesses are built for the certifying split only
+    for split in _iter_splits(entries):
+        _, _, k1, k2, left_red, right_red = split
         left_cert = _decide(left_red)
         right_cert = _decide(right_red)
         if left_cert is None or right_cert is None:
             continue
-        left_seq, right_seq = GeneratorSequence(left_red), GeneratorSequence(right_red)
-        k1_witness = find_representation(k1, right_seq)
-        k2_witness = find_representation(k2, left_seq)
+        k1_witness = find_representation(k1, right_red)
+        k2_witness = find_representation(k2, left_red)
         assert k1_witness is not None and k2_witness is not None
-        split = DelormeSplit(left, right, k1, k2, left_seq, right_seq)
-        cert = SplitNode(split, k1_witness, k2_witness, left_cert, right_cert)
+        cert = SplitNode(DelormeSplit(*split), k1_witness, k2_witness, left_cert, right_cert)
         break
     _CI_MEMO[entries] = cert
     return cert
@@ -215,19 +210,25 @@ def _verify(entries: tuple[int, ...], cert: CICertificate) -> bool:
         return len(entries) <= 2 and cert.entries == entries
     if not isinstance(cert, SplitNode):
         return False
-    split, w1, w2 = cert.split, cert.k1_witness, cert.k2_witness
+    split = cert.split
     left, right, k1, k2 = split.left_indices, split.right_indices, split.k1, split.k2
-    left_red, right_red = split.left_reduced.gens, split.right_reduced.gens
+    left_red, right_red = split.left_reduced, split.right_reduced
     # two non-empty sides partition the indices, each k times its reduced form
     return (
         0 < len(left) < len(entries) and sorted(left + right) == [*range(len(entries))]
         and k1 >= 1 and k2 >= 1 and gcd(k1, k2) == 1
         and [entries[i] for i in left] == [k1 * v for v in left_red]
         and [entries[i] for i in right] == [k2 * v for v in right_red]
-        and w1.gens == right_red and w1.target == k1 and w1.is_valid()
-        and w2.gens == left_red and w2.target == k2 and w2.is_valid()
+        and _is_witness(cert.k1_witness, k1, right_red)
+        and _is_witness(cert.k2_witness, k2, left_red)
         and _verify(left_red, cert.left_cert) and _verify(right_red, cert.right_cert)
     )
+
+
+def _is_witness(coeffs: tuple[int, ...], k: int, gens: tuple[int, ...]) -> bool:
+    """True iff coeffs are len(gens) non-negative numbers with sum(c * g) == k."""
+    return (len(coeffs) == len(gens) and min(coeffs, default=0) >= 0
+            and sum(map(mul, coeffs, gens)) == k)
 
 
 def format_certificate(cert: CICertificate) -> str:
@@ -235,8 +236,8 @@ def format_certificate(cert: CICertificate) -> str:
     if isinstance(cert, Leaf):
         return f"({format_sequence(cert.entries)})"
 
-    def side(k: int, reduced: GeneratorSequence, sub: CICertificate) -> str:
-        text = f"{k}·({format_sequence(reduced.gens)})"
+    def side(k: int, reduced: tuple[int, ...], sub: CICertificate) -> str:
+        text = f"{k}·({format_sequence(reduced)})"
         if isinstance(sub, SplitNode):
             text += f"[{format_certificate(sub)}]"
         return text
@@ -256,10 +257,10 @@ def certificate_to_dict(cert: CICertificate) -> dict:
         "k2": split.k2,
         "left_indices": list(split.left_indices),
         "right_indices": list(split.right_indices),
-        "left_reduced": list(split.left_reduced.gens),
-        "right_reduced": list(split.right_reduced.gens),
-        "k1_witness": list(cert.k1_witness.coefficients),
-        "k2_witness": list(cert.k2_witness.coefficients),
+        "left_reduced": list(split.left_reduced),
+        "right_reduced": list(split.right_reduced),
+        "k1_witness": list(cert.k1_witness),
+        "k2_witness": list(cert.k2_witness),
         "left": certificate_to_dict(cert.left_cert),
         "right": certificate_to_dict(cert.right_cert),
     }
@@ -286,20 +287,22 @@ def _from_dict(data: dict) -> CICertificate:
         return Leaf(_ints_field(data, "entries"))
     if data["type"] != "split":
         raise ValueError(f"unknown certificate node type {data['type']!r}")
-    k1, k2 = _int_field(data, "k1"), _int_field(data, "k2")
-    left_red = GeneratorSequence(_ints_field(data, "left_reduced"))
-    right_red = GeneratorSequence(_ints_field(data, "right_reduced"))
     split = DelormeSplit(
         _ints_field(data, "left_indices"),
         _ints_field(data, "right_indices"),
-        k1,
-        k2,
-        left_red,
-        right_red,
+        _int_field(data, "k1"),
+        _int_field(data, "k2"),
+        # each reduced side must be strictly increasing and positive
+        GeneratorSequence(_ints_field(data, "left_reduced")).gens,
+        GeneratorSequence(_ints_field(data, "right_reduced")).gens,
     )
-    w1 = Representation(_ints_field(data, "k1_witness"), k1, right_red.gens)
-    w2 = Representation(_ints_field(data, "k2_witness"), k2, left_red.gens)
-    return SplitNode(split, w1, w2, _from_dict(data["left"]), _from_dict(data["right"]))
+    return SplitNode(
+        split,
+        _ints_field(data, "k1_witness"),
+        _ints_field(data, "k2_witness"),
+        _from_dict(data["left"]),
+        _from_dict(data["right"]),
+    )
 
 
 def certificate_from_dict(data: dict) -> CICertificate:

@@ -11,7 +11,8 @@ from big-integer bitsets whose bit v stands for the value v:
   which the oracle shares), so its length follows F, not Schur's bound;
 * representation search keeps one mask per exact coefficient count t, so a
   witness with coefficient sum t costs O(len(gens) * t) big-integer
-  operations, however large the target.
+  operations, however large the target; it returns the coefficient tuple,
+  and raises CapExceededError once its masks hold MAX_WITNESS_BITS bits.
 
 Generators are checked once, where input enters (``_entries``): a
 GeneratorSequence was checked when it was built, and any other sequence must
@@ -24,14 +25,17 @@ long enough to reach its target, and drops it on return.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
-from operator import mul
 from typing import Sequence
 
+from .errors import CapExceededError
 from .seqcore import GeneratorSequence
 
 GensLike = GeneratorSequence | Sequence[int]
+
+# Witness search keeps every layer, about (coefficient sum) x target bits, so
+# with 1 among the generators its memory grows with the square of the target.
+MAX_WITNESS_BITS = 1 << 30
 
 
 def _entries(gens: GensLike) -> tuple[int, ...]:
@@ -42,28 +46,6 @@ def _entries(gens: GensLike) -> tuple[int, ...]:
     if min(entries, default=1) < 1:
         raise ValueError(f"generators must be positive, got {entries}")
     return entries
-
-
-@dataclass(frozen=True, slots=True)
-class Representation:
-    """Non-negative coefficients with sum(c * g) == target over the given gens."""
-
-    coefficients: tuple[int, ...]
-    target: int
-    gens: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        object.__setattr__(self, "gens", tuple(self.gens))
-
-    def is_valid(self) -> bool:
-        c = self.coefficients
-        return (len(c) == len(self.gens) and min(c, default=0) >= 0
-                and sum(map(mul, c, self.gens)) == self.target)
-
-    @property
-    def coefficient_sum(self) -> int:
-        return sum(self.coefficients)
 
 
 def _member_bits(gens: tuple[int, ...], nbits: int) -> int:
@@ -94,12 +76,21 @@ def _count_layers(b: int, gens: tuple[int, ...]):
     the values that are sums of exactly t entries of gens[i:].
 
     layer[len(gens)] is the empty tail; each layer costs len(gens) big-int
-    operations, via R_i[t] = R_{i+1}[t] | (R_i[t-1] << g_i).
+    operations, via R_i[t] = R_{i+1}[t] | (R_i[t-1] << g_i).  Callers keep
+    the layers, so CapExceededError is raised once the bits yielded pass
+    MAX_WITNESS_BITS.
     """
     n = len(gens)
     full = (1 << (b + 1)) - 1
     layer = [1] * (n + 1)
+    bits = 0
     while True:
+        bits += sum(map(int.bit_length, layer))
+        if bits > MAX_WITNESS_BITS:
+            raise CapExceededError(
+                f"witness search for {b} over {gens} needs more than "
+                f"{MAX_WITNESS_BITS} mask bits"
+            )
         yield layer
         prev = layer
         layer = [0] * (n + 1)
@@ -126,8 +117,8 @@ def _lex_smallest(
     return tuple(coeffs)
 
 
-def find_representation(b: int, gens: GensLike) -> Representation | None:
-    """A representation of b minimizing the coefficient sum.
+def find_representation(b: int, gens: GensLike) -> tuple[int, ...] | None:
+    """Coefficients c >= 0 with sum(c * g) == b, minimizing sum(c).
 
     Ties are broken by the lexicographically smallest coefficient vector,
     so results are reproducible across runs.
@@ -139,15 +130,15 @@ def find_representation(b: int, gens: GensLike) -> Representation | None:
     for layer in _count_layers(b, entries):
         layers.append(layer)
         if layer[0] >> b & 1:
-            return Representation(_lex_smallest(b, entries, layers), b, entries)
+            return _lex_smallest(b, entries, layers)
         if not layer[0]:
             return None  # t entries already exceed b, and so will more
 
 
 def find_representation_with_sum(
     b: int, gens: GensLike, total: int
-) -> Representation | None:
-    """A representation of b whose coefficients sum to exactly `total`.
+) -> tuple[int, ...] | None:
+    """Coefficients c >= 0 with sum(c * g) == b and sum(c) == total.
 
     Ties are broken by the lexicographically smallest coefficient vector.
     """
@@ -159,7 +150,7 @@ def find_representation_with_sum(
     layers = list(itertools.islice(_count_layers(b, entries), total + 1))
     if not layers[-1][0] >> b & 1:
         return None
-    return Representation(_lex_smallest(b, entries, layers), b, entries)
+    return _lex_smallest(b, entries, layers)
 
 
 def _frobenius_floor(gens: tuple[int, ...]) -> int:

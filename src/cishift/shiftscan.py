@@ -37,12 +37,7 @@ from .errors import (
     NotCompleteIntersectionError,
     WindowTooLargeError,
 )
-from .semigroup import (
-    Representation,
-    divisors,
-    find_representation_with_sum,
-    is_member,
-)
+from .semigroup import divisors, find_representation_with_sum, is_member
 from .seqcore import BaseSequence, GeneratorSequence, shift
 
 logger = logging.getLogger(__name__)
@@ -83,14 +78,15 @@ class MainTheoremWitness:
     """Data extracted from a certificate above the threshold.
 
     s is the removed-singleton position, k the pair-part scaling of the
-    normalized split, m = j / an, alphas the membership representation with
-    coefficient sum exactly k, and kprime the gcd of the base differences.
+    normalized split, m = j / an, alphas the coefficients of the membership
+    representation with coefficient sum exactly k, and kprime the gcd of the
+    base differences.
     """
 
     s: int
     k: int
     m: int
-    alphas: Representation
+    alphas: tuple[int, ...]
     kprime: int
 
 
@@ -137,7 +133,7 @@ class TopSplitAnatomy:
     s: int  # index of the singleton within (j, j+a1, ..., j+an); 0 means j itself
     k: int  # scaling of the complementary part
     singleton_value: int  # normalized-frame entry that was isolated
-    pair_reduced: GeneratorSequence  # complementary part divided by k
+    pair_reduced: tuple[int, ...]  # complementary part divided by k
 
 
 def ci_at(base: BaseSequence, j: int) -> CICertificate | None:
@@ -207,8 +203,8 @@ def _singleton_splits(j: int, removed: int, rest: tuple[int, ...]):
     docstring: k >= 2 runs over the divisors of gcd(j, *rest), descending,
     and kp over the cofactors kp | gcd(k, j+removed), kp != k, with
     gcd((j+removed)/kp, k) = 1.  A split is yielded only when (j+removed)/kp
-    is a member of the scaled rest; rep is its representation by exactly
-    k/kp generators, or None.
+    is a member of the scaled rest; rep holds the coefficients of a
+    representation by exactly k/kp generators, or is None.
     """
     for k in reversed(divisors(gcd(j, *rest))):
         if k < 2:
@@ -240,7 +236,7 @@ def n2_criterion(a: int, b: int, j: int) -> N2Witness | None:
         raise ValueError(f"shift {j} below the criterion threshold {bound}")
     for k, kp, rep in _singleton_splits(j, a, (b,)):
         assert rep is not None
-        alpha, beta = (kp * c for c in rep.coefficients)
+        alpha, beta = (kp * c for c in rep)
         s_gcd = gcd(a, b - a)
         witness = N2Witness(a, b, j, k, alpha, beta, s_gcd)
         if b != s_gcd * k:
@@ -298,7 +294,7 @@ def n3_criterion(a: int, b: int, c: int, j: int) -> N3Witness | None:
                 rest_ci = ci_at(BaseSequence((up, vp)), jp) is not None
             if not rest_ci:
                 continue
-            alpha, beta, gamma = (kp * coeff for coeff in rep.coefficients)
+            alpha, beta, gamma = (kp * coeff for coeff in rep)
             m = None if j % c else j // c
             return N3Witness(a, b, c, j, s, k, m, alpha, beta, gamma)
     return None
@@ -312,12 +308,12 @@ def top_split_anatomy(cert: CICertificate) -> TopSplitAnatomy | None:
     if len(split.left_indices) == 1:
         s = split.left_indices[0]
         k = split.k2
-        value = split.k1 * split.left_reduced.gens[0]
+        value = split.k1 * split.left_reduced[0]
         pair = split.right_reduced
     elif len(split.right_indices) == 1:
         s = split.right_indices[0]
         k = split.k1
-        value = split.k2 * split.right_reduced.gens[0]
+        value = split.k2 * split.right_reduced[0]
         pair = split.left_reduced
     else:
         return None

@@ -214,6 +214,29 @@ def test_hostile_decider_input_exits_three_fast(capsys, command, sequence):
 
 
 @pytest.mark.parametrize("argv", [
+    # the witness of 1000001 over (1, 2500002) takes 1000001 layers of up to
+    # a million bits each; the decider's own size cap lets the input through
+    ["analyze", "1,1000001,2500002"],
+    # at j = 6, the witness of 100000001 over (1, 250000001); scan's
+    # default budget lets the window through
+    ["scan", "600000000,1500000000", "6", "6"],
+])
+def test_huge_witness_search_exits_three_fast(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "witness search" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_witness_search_under_its_cap_answered(capsys):
+    # 30001 layers of up to 30002 bits stay under MAX_WITNESS_BITS
+    code, out, _ = run(capsys, "analyze", "1,30001,75002")
+    assert code == 0
+    assert "certificate: 30001·(1) ⊔ 1·(1,75002)" in out
+
+
+@pytest.mark.parametrize("argv", [
     ["analyze", "3,4,5"], ["oracle", "3,4,5"], ["compare", "3,4,5"], ["verify-paper"],
 ])
 @pytest.mark.parametrize("flag", ["--cap", "--jobs"])

@@ -4,7 +4,7 @@ import json
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cishift import clear_caches
@@ -21,7 +21,6 @@ from cishift.delorme import (
     verify_certificate,
 )
 from cishift.errors import InvalidCertificateError
-from cishift.semigroup import Representation
 from cishift.seqcore import GeneratorSequence
 from cishift.toricoracle import is_ci_oracle
 
@@ -72,8 +71,7 @@ class TestEnumerateSplits:
         # factors 2-6 give every side a common factor and so many divisor pairs
         scaled = tuple(factor * g for g in gens)
         splits = [
-            (s.left_indices, s.right_indices, s.k1, s.k2,
-             s.left_reduced.gens, s.right_reduced.gens)
+            (s.left_indices, s.right_indices, s.k1, s.k2, s.left_reduced, s.right_reduced)
             for s in enumerate_splits(GeneratorSequence(scaled))
         ]
         assert splits == reference_splits(scaled)
@@ -87,7 +85,7 @@ class TestEnumerateSplits:
         match = [
             s for s in splits
             if s.k1 == 2 and s.k2 == 9
-            and s.left_reduced.gens == (2, 3) and s.right_reduced.gens == (1,)
+            and s.left_reduced == (2, 3) and s.right_reduced == (1,)
         ]
         assert match, [repr(s) for s in splits]
 
@@ -96,7 +94,7 @@ class TestEnumerateSplits:
         match = [
             s for s in splits
             if s.k1 == 31 and s.k2 == 4
-            and s.left_reduced.gens == (1,) and s.right_reduced.gens == (7, 9, 12)
+            and s.left_reduced == (1,) and s.right_reduced == (7, 9, 12)
         ]
         assert match
 
@@ -122,11 +120,11 @@ class TestEnumerateSplits:
                 assert all(v % s.k1 == 0 for v in left_vals)
                 assert all(v % s.k2 == 0 for v in right_vals)
                 assert gcd(s.k1, s.k2) == 1
-                assert tuple(v // s.k1 for v in left_vals) == s.left_reduced.gens
-                assert tuple(v // s.k2 for v in right_vals) == s.right_reduced.gens
+                assert tuple(v // s.k1 for v in left_vals) == s.left_reduced
+                assert tuple(v // s.k2 for v in right_vals) == s.right_reduced
                 # on a gcd-1 sequence both reduced sides have gcd 1
                 assert s.k1 == gcd(*left_vals) and s.k2 == gcd(*right_vals)
-                assert gcd(*s.left_reduced.gens) == gcd(*s.right_reduced.gens) == 1
+                assert gcd(*s.left_reduced) == gcd(*s.right_reduced) == 1
 
 
 class TestBipartitions:
@@ -174,7 +172,7 @@ class TestDecision:
         cert = ci((28, 31, 36, 48))
         assert isinstance(cert, SplitNode)
         assert cert.split.k1 == 31 and cert.split.k2 == 4
-        assert cert.split.right_reduced.gens == (7, 9, 12)
+        assert cert.split.right_reduced == (7, 9, 12)
 
     def test_leaves(self):
         assert isinstance(ci((5,)), Leaf)
@@ -198,8 +196,13 @@ class TestDecision:
 
     def test_witnesses_inside_certificate(self):
         cert = ci((28, 31, 36, 48))
-        assert cert.k1_witness.is_valid() and cert.k1_witness.target == 31
-        assert cert.k2_witness.is_valid() and cert.k2_witness.target == 4
+        split = cert.split
+        # each witness weighs its k over the other side's reduced entries
+        for coeffs, k, gens in [
+            (cert.k1_witness, 31, split.right_reduced), (cert.k2_witness, 4, split.left_reduced),
+        ]:
+            assert len(coeffs) == len(gens) and min(coeffs) >= 0
+            assert sum(c * g for c, g in zip(coeffs, gens)) == k
 
 
 class TestVerifier:
@@ -216,11 +219,7 @@ class TestVerifier:
     def test_rejects_tampered_witness(self):
         cert = ci((4, 6, 9))
         assert isinstance(cert, SplitNode)
-        bad_witness = Representation(
-            tuple(c + 1 for c in cert.k1_witness.coefficients),
-            cert.k1_witness.target,
-            cert.k1_witness.gens,
-        )
+        bad_witness = tuple(c + 1 for c in cert.k1_witness)
         tampered = SplitNode(
             cert.split, bad_witness, cert.k2_witness, cert.left_cert, cert.right_cert
         )
@@ -234,9 +233,10 @@ class TestVerifier:
         # 31 = 1*7 + 0*9 + 2*12 over (7, 9, 12), rewritten as -8*7 + 7*9 + 2*12
         seq = GeneratorSequence((28, 31, 36, 48))
         cert = ci(seq.gens)
-        assert cert.k1_witness == Representation((1, 0, 2), 31, (7, 9, 12))
-        bad = Representation((-8, 7, 2), 31, (7, 9, 12))
-        assert sum(c * g for c, g in zip(bad.coefficients, bad.gens)) == 31
+        assert (cert.split.k1, cert.split.right_reduced) == (31, (7, 9, 12))
+        assert cert.k1_witness == (1, 0, 2)
+        bad = (-8, 7, 2)
+        assert sum(c * g for c, g in zip(bad, (7, 9, 12))) == 31
         assert verify_certificate(seq, dataclasses.replace(cert, k1_witness=bad)) is False
 
     def test_rejects_witness_longer_than_its_gens(self):
@@ -245,7 +245,7 @@ class TestVerifier:
         cert = ci(seq.gens)
         for field in ("k1_witness", "k2_witness"):
             witness = getattr(cert, field)
-            bad = Representation(witness.coefficients + (0,), witness.target, witness.gens)
+            bad = witness + (0,)
             assert verify_certificate(seq, dataclasses.replace(cert, **{field: bad})) is False
 
     def test_rejects_repeated_index(self):
@@ -256,9 +256,8 @@ class TestVerifier:
         seq = GeneratorSequence((4, 8, 9))
         cert = ci(seq.gens)
         assert format_certificate(cert) == "8·(1) ⊔ 1·(4,9)"
-        split = dataclasses.replace(cert.split, right_indices=(0, 1, 2), right_reduced=seq)
-        witness = Representation((0, 1, 0), 8, seq.gens)
-        bad = dataclasses.replace(cert, split=split, k1_witness=witness, right_cert=cert)
+        split = dataclasses.replace(cert.split, right_indices=(0, 1, 2), right_reduced=seq.gens)
+        bad = dataclasses.replace(cert, split=split, k1_witness=(0, 1, 0), right_cert=cert)
         assert verify_certificate(seq, bad) is False
         # listed twice on one side, or on both sides with the rest unchanged
         split = cert.split
@@ -272,15 +271,15 @@ class TestVerifier:
 
 def _node_entries(split):
     """The entries a split node stands for, rebuilt from its two sides."""
-    vals = dict(zip(split.left_indices, (split.k1 * v for v in split.left_reduced.gens)))
-    vals.update(zip(split.right_indices, (split.k2 * v for v in split.right_reduced.gens)))
+    vals = dict(zip(split.left_indices, (split.k1 * v for v in split.left_reduced)))
+    vals.update(zip(split.right_indices, (split.k2 * v for v in split.right_reduced)))
     return tuple(vals[i] for i in sorted(vals))
 
 
 def _with_coefficient(witness, i, delta):
-    coeffs = list(witness.coefficients)
+    coeffs = list(witness)
     coeffs[i] += delta
-    return Representation(tuple(coeffs), witness.target, witness.gens)
+    return tuple(coeffs)
 
 
 def single_field_mutations(cert, root):
@@ -303,7 +302,7 @@ def single_field_mutations(cert, root):
             yield dataclasses.replace(cert, split=bad)
     for field in ("k1_witness", "k2_witness"):
         witness = getattr(cert, field)
-        for i, delta in itertools.product(range(len(witness.coefficients)), (-1, 1)):
+        for i, delta in itertools.product(range(len(witness)), (-1, 1)):
             yield dataclasses.replace(cert, **{field: _with_coefficient(witness, i, delta)})
     for i in split.left_indices + split.right_indices:
         # index i changes sides
@@ -335,12 +334,48 @@ class TestVerifierProperties:
             assert verify_certificate(seq, bad) is False, bad
 
 
+def _small_sums(entries):
+    """The sums of one or two entries, each a member of <entries>."""
+    return {*entries, *(a + b for a, b in itertools.combinations_with_replacement(entries, 2))}
+
+
+_COPRIME_PAIRS = [(a, b) for a in range(2, 10) for b in range(a + 1, 17) if gcd(a, b) == 1]
+
+
+@st.composite
+def ci_sequences(draw, length):
+    """A sorted gcd-1 complete intersection of the given length, glued as
+    k1*B1 ⊔ k2*B2 from two smaller ones, with gcd(k1, k2) = 1, k1 in <B2> and
+    k2 in <B1>; a leaf is (1,) or a coprime pair."""
+    if length == 1:
+        return (1,)
+    if length == 2:
+        return draw(st.sampled_from(_COPRIME_PAIRS))
+    n1 = draw(st.integers(1, length - 1))
+    left, right = draw(ci_sequences(n1)), draw(ci_sequences(length - n1))
+    glued = [
+        tuple(sorted({k1 * v for v in left} | {k2 * v for v in right}))
+        for k1 in sorted(_small_sums(right)) for k2 in sorted(_small_sums(left))
+        if gcd(k1, k2) == 1
+    ]
+    glued = [g for g in glued if len(g) == length]
+    assume(glued)
+    return draw(st.sampled_from(glued))
+
+
 class TestSerialization:
-    def test_json_round_trip(self):
-        for gens in [(28, 31, 36, 48), (4, 6, 9), (2, 3)]:
-            cert = ci(gens)
-            again = certificate_from_json(certificate_to_json(cert))
-            assert again == cert
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(3, 7).flatmap(ci_sequences))
+    @example((28, 31, 36, 48))
+    @example((4, 6, 9))
+    @example((2, 3))
+    def test_json_round_trip(self, gens):
+        cert = ci(gens)
+        assert cert is not None, gens
+        text = certificate_to_json(cert)
+        again = certificate_from_json(text)
+        assert again == cert
+        assert certificate_to_json(again) == text
 
     def test_text_form(self):
         cert = ci((28, 31, 36, 48))
@@ -350,7 +385,7 @@ class TestSerialization:
 
 
 # JSON values of every type; a field is retyped to one its schema rejects
-JSON_VALUES = (None, True, 1.5, "x", 7, [7], ["x"], [1.5], {})
+JSON_VALUES = (None, True, 1.5, "x", 7, [7], ["x"], [1.5], [True], {})
 DELETED = object()
 
 
@@ -405,6 +440,17 @@ class TestMalformedCertificate:
     def test_not_json(self):
         with pytest.raises(InvalidCertificateError):
             certificate_from_json("{not json")
+
+    @pytest.mark.parametrize("side", ["left_reduced", "right_reduced"])
+    @pytest.mark.parametrize(
+        "value", [[3, 2], [2, 2], [0, 1], [-1], []],
+        ids=["decreasing", "repeated", "zero", "negative", "empty"],
+    )
+    def test_reduced_side_not_increasing_and_positive_raises(self, side, value):
+        tree = json.loads(certificate_to_json(ci((28, 31, 36, 48))))
+        tree[side] = value
+        with pytest.raises(InvalidCertificateError):
+            certificate_from_json(json.dumps(tree))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cishift import clear_caches
+from cishift import clear_caches, semigroup
 from cishift.delorme import certificate_to_json, is_complete_intersection
+from cishift.errors import CapExceededError
 from cishift.semigroup import (
     _frobenius_floor,
     _member_bits,
@@ -43,6 +44,12 @@ def all_representations(b, gens):
             yield (c,) + rest
 
 
+def is_witness(coeffs, b, gens):
+    """coeffs are len(gens) non-negative integers with sum(c * g) == b."""
+    return (len(coeffs) == len(gens) and min(coeffs, default=0) >= 0
+            and sum(c * g for c, g in zip(coeffs, gens)) == b)
+
+
 def reachable(upto, gens):
     """reach[v] iff v is a sum of generators, by one pass over 0..upto."""
     reach = [True] + [False] * upto
@@ -73,8 +80,8 @@ class TestBitsetProperties:
             assert rep is None
             return
         best = min(sum(v) for v in reps)
-        assert rep is not None and rep.is_valid()
-        assert rep.coefficients == min(v for v in reps if sum(v) == best)
+        assert rep is not None and is_witness(rep, b, gens)
+        assert rep == min(v for v in reps if sum(v) == best)
 
     @settings(max_examples=150, deadline=None)
     @given(gen_tuples, st.integers(0, 60), st.integers(-1, 15))
@@ -84,7 +91,7 @@ class TestBitsetProperties:
         if not matching:
             assert rep is None
         else:
-            assert rep is not None and rep.coefficients == min(matching)
+            assert rep is not None and rep == min(matching)
 
     @settings(max_examples=150, deadline=None)
     @given(gen_tuples.filter(lambda g: gcd(*g) == 1))
@@ -241,10 +248,7 @@ class TestFindRepresentation:
     )
     def test_examples(self, b, gens, expected):
         rep = find_representation(b, gens)
-        if expected is None:
-            assert rep is None
-        else:
-            assert rep.coefficients == expected
+        assert rep == expected
 
     def test_determinism_contract(self):
         # minimal coefficient sum, ties broken by lexicographically smallest
@@ -257,13 +261,24 @@ class TestFindRepresentation:
                     continue
                 best_sum = min(sum(v) for v in reps)
                 expected = min(v for v in reps if sum(v) == best_sum)
-                assert rep is not None and rep.coefficients == expected, (b, gens)
+                assert rep is not None and rep == expected, (b, gens)
+
+    def test_layer_bits_capped(self, monkeypatch):
+        # the witness of 10,000 over (1, 30000) is found in layer 10,000, and
+        # layer t holds a mask of t + 1 bits: about 5e7 bits in all
+        assert find_representation(10_000, (1, 30_000)) == (10_000, 0)
+        monkeypatch.setattr(semigroup, "MAX_WITNESS_BITS", 10**7)
+        with pytest.raises(CapExceededError, match="witness search"):
+            find_representation(10_000, (1, 30_000))
+        with pytest.raises(CapExceededError, match="witness search"):
+            find_representation_with_sum(10_000, (1, 30_000), 10_000)
+        assert find_representation(1_000, (1, 30_000)) == (1_000, 0)
 
     def test_returned_representation_valid(self):
         for b in range(0, 80):
             rep = find_representation(b, (4, 7, 9))
             if rep is not None:
-                assert rep.is_valid()
+                assert is_witness(rep, b, (4, 7, 9))
 
 
 class TestFindRepresentationWithSum:
@@ -277,11 +292,9 @@ class TestFindRepresentationWithSum:
     )
     def test_examples(self, b, gens, total, expected):
         rep = find_representation_with_sum(b, gens, total)
-        if expected is None:
-            assert rep is None
-        else:
-            assert rep.coefficients == expected
-            assert rep.coefficient_sum == total
+        assert rep == expected
+        if expected is not None:
+            assert sum(rep) == total
 
     def test_exact_sum_against_enumeration(self):
         gens = (3, 4, 10)
@@ -290,7 +303,7 @@ class TestFindRepresentationWithSum:
                 rep = find_representation_with_sum(b, gens, total)
                 matching = [v for v in all_representations(b, gens) if sum(v) == total]
                 if matching:
-                    assert rep is not None and rep.coefficients == min(matching)
+                    assert rep is not None and rep == min(matching)
                 else:
                     assert rep is None
 

@@ -265,8 +265,8 @@ class TestMainTheoremWitness:
         cert = ci_at(base, 812)
         w = main_theorem_witness(base, 812, cert)
         assert (w.s, w.k, w.m, w.kprime) == (1, 4, 29, 1)
-        assert w.alphas.coefficients == (2, 1, 1)
-        assert w.alphas.coefficient_sum == w.k
+        assert w.alphas == (2, 1, 1)
+        assert sum(w.alphas) == w.k
 
     def test_below_threshold_rejected(self):
         base = BaseSequence((3, 8, 20))
@@ -292,7 +292,7 @@ class TestMainTheoremWitness:
         assert cert is not None
         w = main_theorem_witness(base, j, cert)
         assert w.kprime == 2 and w.s == 1
-        assert w.alphas.coefficient_sum == w.k
+        assert sum(w.alphas) == w.k
 
     def test_small_base_extraction(self):
         base = BaseSequence((1, 2, 4))
@@ -300,7 +300,7 @@ class TestMainTheoremWitness:
         assert cert is not None
         w = main_theorem_witness(base, 20, cert)
         assert w.s in (1, 2) and w.m == 5
-        assert w.alphas.coefficient_sum == w.k == 2
+        assert sum(w.alphas) == w.k == 2
 
 
 class TestConversePredicate:
