@@ -2,8 +2,10 @@
 
 Commands: analyze, scan, report, oracle, compare, verify-paper.
 Exit codes: 0 success / CI / agreement; 1 negative verdict, disagreement, or
-fixture failure; 2 usage or parse errors; 3 cost-cap errors, among them
-oracle and analyze/compare inputs too large to run.
+fixture failure; 2 usage or parse errors; 3 cost-cap errors.  Each cap lives
+in the module whose cost it bounds (the decider's, the scan budget, the
+oracle's and witness search's); every refusal is a CapExceededError, which
+main alone maps to exit 3.
 """
 
 from __future__ import annotations
@@ -17,31 +19,16 @@ import time
 from math import gcd
 
 from . import delorme, shiftscan, toricoracle
-from .errors import CapExceededError, WindowTooLargeError
+from .errors import CapExceededError
 from .seqcore import (
     BaseSequence,
     GeneratorSequence,
     format_sequence,
-    normalize,
     parse_base,
     parse_gens,
 )
 
 DEFAULT_SEED = 1729
-
-# analyze and compare refuse inputs the decider cannot finish fast.  It
-# builds membership masks as long as the largest entry for several sides,
-# so its memory and time grow with generators x largest entry (consecutive
-# entries from 2^27: 110 MiB at 3, 118 MiB at 4 and at 6; at most 112 MiB
-# and 3.4 s with the product at 3 * 2^27), and it walks all 2^m
-# bipartitions of m generators.  It skips those that cannot split, which on
-# 100..99+m is all but 2m of them: m = 16 takes 0.03 s and m = 18 0.1 s.
-# Witness search keeps about (coefficient sum) x target bits, which this
-# product does not bound when 1 is a generator; semigroup.MAX_WITNESS_BITS
-# caps it instead (1,30001,75002 peaks at 77 MiB and is answered;
-# 1,60001,150002 and 1,1000001,2500002 exit 3 in under 0.5 s, below 160 MiB).
-MAX_DECIDE_SIZE = 3 << 27
-MAX_DECIDE_GENS = 17
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -53,24 +40,8 @@ def _print_json(data) -> None:
     print(json.dumps(data, sort_keys=True))
 
 
-def _refuse_costly_decision(seq: GeneratorSequence) -> None:
-    """CapExceededError for inputs past MAX_DECIDE_SIZE or MAX_DECIDE_GENS."""
-    _, reduced = normalize(seq)
-    size = len(reduced) * reduced.gens[-1]
-    if size > MAX_DECIDE_SIZE:
-        raise CapExceededError(
-            f"decider: {len(reduced)} generators x largest entry "
-            f"{reduced.gens[-1]} (gcd divided out) = {size} exceeds {MAX_DECIDE_SIZE}"
-        )
-    if len(seq) > MAX_DECIDE_GENS:
-        raise CapExceededError(
-            f"decider: {len(seq)} generators, more than {MAX_DECIDE_GENS}"
-        )
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     seq = parse_gens(args.sequence)
-    _refuse_costly_decision(seq)
     cert = delorme.is_complete_intersection(seq)
     if args.format == "json":
         _print_json({
@@ -179,7 +150,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     seq = parse_gens(args.sequence)
-    _refuse_costly_decision(seq)
     cert = delorme.is_complete_intersection(seq)
     criterion_ci = cert is not None
     mu = toricoracle.betti_profile(seq).mu
@@ -450,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (WindowTooLargeError, CapExceededError) as exc:
+    except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

@@ -28,9 +28,23 @@ from math import gcd
 from operator import mul
 from typing import Iterator, Union
 
-from .errors import InvalidCertificateError
+from .errors import CapExceededError, InvalidCertificateError
 from .semigroup import divisors, find_representation, is_member
 from .seqcore import GeneratorSequence, format_sequence, normalize
+
+# is_complete_intersection refuses inputs it cannot finish fast.  It builds
+# membership masks as long as the largest entry for several sides, so its
+# memory and time grow with generators x largest entry (consecutive entries
+# from 2^27: 110 MiB at 3, 118 MiB at 4 and at 6; at most 112 MiB and 3.4 s
+# with the product at 3 * 2^27), and it walks all 2^m bipartitions of m
+# generators.  It skips those that cannot split, which on 100..99+m is all
+# but 2m of them: m = 16 takes 0.03 s and m = 18 0.1 s.  Witness search
+# keeps about (coefficient sum) x target bits, which this product does not
+# bound when 1 is a generator; semigroup.MAX_MASK_BITS caps it instead
+# (1,30001,75002 peaks at 77 MiB and is answered; 1,60001,150002 and
+# 1,1000001,2500002 are refused in under 0.5 s, below 160 MiB).
+MAX_DECIDE_SIZE = 3 << 27
+MAX_DECIDE_GENS = 17
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,10 +177,23 @@ def is_complete_intersection(gens: GeneratorSequence) -> CICertificate | None:
     The overall gcd is divided out first. Among all valid splits in
     canonical order, the first whose two reduced parts are recursively
     complete intersections becomes the certificate. Verdicts are memoized
-    by the normalized sequence.
+    by the normalized sequence.  Raises CapExceededError, before any search,
+    when generators x largest entry of the normalized sequence exceeds
+    MAX_DECIDE_SIZE or it has more than MAX_DECIDE_GENS generators.
     """
     _, reduced = normalize(gens)
-    return _decide(reduced.gens)
+    entries = reduced.gens
+    size = len(entries) * entries[-1]
+    if size > MAX_DECIDE_SIZE:
+        raise CapExceededError(
+            f"decider: {len(entries)} generators x largest entry "
+            f"{entries[-1]} (gcd divided out) = {size} exceeds {MAX_DECIDE_SIZE}"
+        )
+    if len(entries) > MAX_DECIDE_GENS:
+        raise CapExceededError(
+            f"decider: {len(entries)} generators, more than {MAX_DECIDE_GENS}"
+        )
+    return _decide(entries)
 
 
 def _decide(entries: tuple[int, ...]) -> CICertificate | None:

@@ -5,13 +5,14 @@ class CishiftError(Exception):
     """Base class for all package-specific errors."""
 
 
-class WindowTooLargeError(CishiftError):
-    """A scan window exceeds the configured cost budget."""
-
-
 class CapExceededError(CishiftError):
     """An input would exceed a cost cap: too many factorizations at one
-    degree, or oracle masks or decider work past their limits."""
+    degree, decider input past its size or generator cap, or oracle or
+    witness-search masks or closure work past their limits."""
+
+
+class WindowTooLargeError(CapExceededError):
+    """A scan window exceeds the configured cost budget."""
 
 
 class NotCompleteIntersectionError(CishiftError):

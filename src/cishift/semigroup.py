@@ -12,7 +12,7 @@ from big-integer bitsets whose bit v stands for the value v:
 * representation search keeps one mask per exact coefficient count t, so a
   witness with coefficient sum t costs O(len(gens) * t) big-integer
   operations, however large the target; it returns the coefficient tuple,
-  and raises CapExceededError once its masks hold MAX_WITNESS_BITS bits.
+  and raises CapExceededError once its masks hold MAX_MASK_BITS bits.
 
 Generators are checked once, where input enters (``_entries``): a
 GeneratorSequence was checked when it was built, and any other sequence must
@@ -33,9 +33,11 @@ from .seqcore import GeneratorSequence
 
 GensLike = GeneratorSequence | Sequence[int]
 
-# Witness search keeps every layer, about (coefficient sum) x target bits, so
-# with 1 among the generators its memory grows with the square of the target.
-MAX_WITNESS_BITS = 1 << 30
+# The bits of the masks one call may hold at once: witness search keeps every
+# layer, about (coefficient sum) x target bits, so with 1 among the
+# generators its memory grows with the square of the target, and the oracle
+# (toricoracle._prepare) holds n^2 vertex and edge masks of the degree bound.
+MAX_MASK_BITS = 1 << 30
 
 
 def _entries(gens: GensLike) -> tuple[int, ...]:
@@ -76,9 +78,10 @@ def _count_layers(b: int, gens: tuple[int, ...]):
     the values that are sums of exactly t entries of gens[i:].
 
     layer[len(gens)] is the empty tail; each layer costs len(gens) big-int
-    operations, via R_i[t] = R_{i+1}[t] | (R_i[t-1] << g_i).  Callers keep
-    the layers, so CapExceededError is raised once the bits yielded pass
-    MAX_WITNESS_BITS.
+    operations, via R_i[t] = R_{i+1}[t] | (R_i[t-1] << g_i), with the shift
+    skipped for a g_i > b, which sets no bit up to b.  Callers keep the
+    layers, so CapExceededError is raised once the bits yielded pass
+    MAX_MASK_BITS.
     """
     n = len(gens)
     full = (1 << (b + 1)) - 1
@@ -86,16 +89,18 @@ def _count_layers(b: int, gens: tuple[int, ...]):
     bits = 0
     while True:
         bits += sum(map(int.bit_length, layer))
-        if bits > MAX_WITNESS_BITS:
+        if bits > MAX_MASK_BITS:
             raise CapExceededError(
                 f"witness search for {b} over {gens} needs more than "
-                f"{MAX_WITNESS_BITS} mask bits"
+                f"{MAX_MASK_BITS} mask bits"
             )
         yield layer
         prev = layer
         layer = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
-            layer[i] = layer[i + 1] | ((prev[i] << gens[i]) & full)
+            layer[i] = layer[i + 1]
+            if gens[i] <= b:  # a larger one sets no bit, yet would build an int that wide
+                layer[i] |= (prev[i] << gens[i]) & full
 
 
 def _lex_smallest(

@@ -19,8 +19,8 @@ Two interchangeable engines compute the per-degree component counts:
   vertex, is_ci_oracle reads mu as the marks' popcount minus that of their
   union, with no per-degree profile.  Degrees run to F + 2*max.  F is read
   off the membership mask itself, grown from a lower bound on F and never
-  past the length at which the masks would pass MAX_ORACLE_BITS; an input
-  whose F is not exact there is refused (see _prepare).
+  past the length at which the masks would pass semigroup.MAX_MASK_BITS;
+  an input whose F is not exact there is refused (see _prepare).
 * "enumerate" lists every factorization per degree (depth-first, subject to
   a cap) and unions them coordinate by coordinate, exactly mirroring the
   definition.  It exists as the slow reference path.
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from . import semigroup
 from .errors import CapExceededError
 from .semigroup import GensLike, _entries, _frobenius_bound
 from .seqcore import GeneratorSequence, normalize
@@ -40,11 +41,10 @@ from .seqcore import GeneratorSequence, normalize
 DEFAULT_FACTORIZATION_CAP = 50_000
 
 # the oracle refuses an input whose len(gens)^2 vertex and edge masks, sized
-# by the degree bound, would hold more bits than this,
-MAX_ORACLE_BITS = 1 << 30
-# or whose closure, charged its C(len(gens), 3) AND/OR pairs times the degree
-# bound in bit operations, would take more: intervals 220..439 and 300..599
-# take 0.45 s (1.9e9) and 1.1 s (6.7e9) on one core
+# by the degree bound, would hold more than semigroup.MAX_MASK_BITS bits, or
+# whose closure, charged its C(len(gens), 3) AND/OR pairs times the degree
+# bound in bit operations, would take more than this: intervals 220..439 and
+# 300..599 take 0.45 s (1.9e9) and 1.1 s (6.7e9) on one core
 MAX_CLOSURE_WORK = 1 << 33
 
 
@@ -209,17 +209,18 @@ def _prepare(seq: GeneratorSequence) -> tuple:
     past it every b - g - h exceeds F, so every pair of generators is joined.
 
     The mask grows from a lower bound on B, never past the
-    MAX_ORACLE_BITS // n^2 + 1 bits at which n^2 masks of B bits would pass
-    the cap (see semigroup._frobenius_bound).  A B not exact there is a
-    lower bound that already passes the cap, refused on "at least" that many
-    mask bits; an exact B never is.  The closure is charged its C(n, 3)
+    semigroup.MAX_MASK_BITS // n^2 + 1 bits at which n^2 masks of B bits
+    would pass the cap (see semigroup._frobenius_bound).  A B not exact
+    there is a lower bound that already passes the cap, refused on "at
+    least" that many mask bits; an exact B never is.  The closure is charged its C(n, 3)
     AND/OR pairs of B bits.
     """
     d, reduced = normalize(seq)
     rgens = reduced.gens
     n = len(rgens)
-    B, mask = _frobenius_bound(rgens, MAX_ORACLE_BITS // (n * n))
-    _refuse_oversized(seq.gens, n * n * B, MAX_ORACLE_BITS, "mask bits")
+    # read at call time, so that one patch of it reaches witness search too
+    B, mask = _frobenius_bound(rgens, semigroup.MAX_MASK_BITS // (n * n))
+    _refuse_oversized(seq.gens, n * n * B, semigroup.MAX_MASK_BITS, "mask bits")
     _refuse_oversized(seq.gens, comb(n, 3) * B, MAX_CLOSURE_WORK, "closure bit operations")
     return d, rgens, B, mask
 
@@ -229,9 +230,9 @@ def betti_profile(gens: GensLike, *, engine: str = "graph") -> BettiProfile:
     over the gcd-normalized sequence (see _prepare).
 
     An unknown engine raises ValueError before any mask is built.  Inputs
-    over MAX_ORACLE_BITS or MAX_CLOSURE_WORK raise CapExceededError before
-    the vertex and edge masks are built, and no membership mask passes the
-    length at which the former would be exceeded.
+    over semigroup.MAX_MASK_BITS or MAX_CLOSURE_WORK raise CapExceededError
+    before the vertex and edge masks are built, and no membership mask
+    passes the length at which the former would be exceeded.
     """
     if engine not in ("graph", "enumerate"):
         raise ValueError(f"unknown engine {engine!r}")

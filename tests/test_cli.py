@@ -1,4 +1,6 @@
 import argparse
+import ast
+import importlib
 import json
 import re
 import time
@@ -213,13 +215,29 @@ def test_hostile_decider_input_exits_three_fast(capsys, command, sequence):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("base, j", [
+    # scan's default budget charges each of these 8, but the shift is past
+    # the decider's size cap once its gcd is divided out
+    ("600000000,1500000000", "6"),  # (1, 100000001, 250000001)
+    ("60000000000,150000000000", "6"),  # masks of 1e10 bits
+    ("1,10000000000000", "1"),  # (1, 2, 10000000000001)
+    # divisors(10**20 + 1) would take 10^10 trial divisions
+    ("4,99999999999999999995", "6"),
+])
+def test_hostile_scan_exits_three_fast(capsys, base, j):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "scan", base, j, j)
+    assert code == 3
+    assert "decider" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("argv", [
     # the witness of 1000001 over (1, 2500002) takes 1000001 layers of up to
     # a million bits each; the decider's own size cap lets the input through
     ["analyze", "1,1000001,2500002"],
-    # at j = 6, the witness of 100000001 over (1, 250000001); scan's
-    # default budget lets the window through
-    ["scan", "600000000,1500000000", "6", "6"],
+    # its shift j = 1 is the same sequence, (1, 1000001, 2500002)
+    ["scan", "1000000,2500001", "1", "1"],
 ])
 def test_huge_witness_search_exits_three_fast(capsys, argv):
     start = time.perf_counter()
@@ -230,7 +248,7 @@ def test_huge_witness_search_exits_three_fast(capsys, argv):
 
 
 def test_witness_search_under_its_cap_answered(capsys):
-    # 30001 layers of up to 30002 bits stay under MAX_WITNESS_BITS
+    # 30001 layers of up to 30002 bits stay under MAX_MASK_BITS
     code, out, _ = run(capsys, "analyze", "1,30001,75002")
     assert code == 0
     assert "certificate: 30001·(1) ⊔ 1·(1,75002)" in out
@@ -311,3 +329,35 @@ def test_readme_flags_match_parser():
         if flag.startswith("--") and flag != "--help"
     }
     assert documented == accepted
+
+
+_CAP_NAME = r"(?:MAX|DEFAULT)_[A-Z_]+"
+
+
+def _stated_value(text):
+    """The integer README writes as e.g. 17, 50,000, 2^30 or 3·2^27."""
+    value = 1
+    for factor in text.replace(",", "").split("·"):
+        base, _, exp = factor.partition("^")
+        value *= int(base) ** int(exp or 1)
+    return value
+
+
+def test_readme_caps_match_modules():
+    # every MAX_* / DEFAULT_* name in README is a module constant under
+    # src/cishift/ with the value README states, and every one is named there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    package = Path(importlib.import_module("cishift").__file__).parent
+    constants = {}
+    for path in package.glob("[!_]*.py"):  # not __main__, which runs the CLI on import
+        module = importlib.import_module(f"cishift.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and re.fullmatch(_CAP_NAME, target.id):
+                        constants[target.id] = getattr(module, target.id)
+    assert set(re.findall(rf"\b{_CAP_NAME}\b", readme)) == set(constants)
+    for name, value in constants.items():
+        stated = re.findall(rf"`{name}`\s+\(([0-9][0-9,·^]*)", readme)
+        assert stated, f"README states no value for {name}"
+        assert {_stated_value(text) for text in stated} == {value}, name

@@ -316,13 +316,18 @@ def single_field_mutations(cert, root):
             yield dataclasses.replace(cert, **{field: bad})
 
 
-class TestVerifierProperties:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(st.integers(1, 40), min_size=3, max_size=5, unique=True)
+def _gcd_one_sequences(min_size=3, max_size=5):
+    """Sorted gcd-1 sequences on 1..40."""
+    return (
+        st.lists(st.integers(1, 40), min_size=min_size, max_size=max_size, unique=True)
         .map(lambda xs: tuple(sorted(xs)))
         .filter(lambda g: gcd(*g) == 1)
     )
+
+
+class TestVerifierProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_gcd_one_sequences())
     def test_every_single_field_mutation_rejected(self, gens):
         seq = GeneratorSequence(gens)
         cert = is_complete_intersection(seq)
@@ -332,6 +337,30 @@ class TestVerifierProperties:
         assert mutations
         for bad in mutations:
             assert verify_certificate(seq, bad) is False, bad
+
+    @settings(max_examples=150, deadline=None)
+    @given(_gcd_one_sequences(), st.integers(0, 4), st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    # a verifier that stops tying the left side's entries to k1 times its
+    # reduced form accepts the certificate of (2, 5, 7) for (3, 5, 7)
+    @example((2, 5, 7), 0, 1)
+    def test_certificate_rejected_for_a_moved_entry(self, gens, i, delta):
+        cert = ci(gens)
+        assume(cert is not None)
+        moved = list(gens)
+        moved[i % len(gens)] += delta
+        assume(moved[0] >= 1 and all(a < b for a, b in zip(moved, moved[1:])))
+        assert verify_certificate(GeneratorSequence(moved), cert) is False
+
+    @settings(max_examples=150, deadline=None)
+    @given(_gcd_one_sequences().flatmap(
+        lambda g: st.tuples(st.just(g), _gcd_one_sequences(len(g), len(g)))))
+    def test_certificate_rejected_for_another_ci_sequence(self, pair):
+        gens, other = pair
+        assume(other != gens)
+        cert, other_cert = ci(gens), ci(other)
+        assume(cert is not None and other_cert is not None)
+        assert verify_certificate(GeneratorSequence(other), cert) is False
+        assert verify_certificate(GeneratorSequence(gens), other_cert) is False
 
 
 def _small_sums(entries):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 import tracemalloc
 from functools import lru_cache
 from math import gcd
@@ -267,12 +268,24 @@ class TestFindRepresentation:
         # the witness of 10,000 over (1, 30000) is found in layer 10,000, and
         # layer t holds a mask of t + 1 bits: about 5e7 bits in all
         assert find_representation(10_000, (1, 30_000)) == (10_000, 0)
-        monkeypatch.setattr(semigroup, "MAX_WITNESS_BITS", 10**7)
+        monkeypatch.setattr(semigroup, "MAX_MASK_BITS", 10**7)
         with pytest.raises(CapExceededError, match="witness search"):
             find_representation(10_000, (1, 30_000))
         with pytest.raises(CapExceededError, match="witness search"):
             find_representation_with_sum(10_000, (1, 30_000), 10_000)
         assert find_representation(1_000, (1, 30_000)) == (1_000, 0)
+
+    def test_generator_past_target_answered_at_once(self):
+        # a generator past the target is never shifted in: shifting by it
+        # would build an int 10^12 bits wide (MemoryError), or one wider
+        # than an int can be (OverflowError)
+        start = time.perf_counter()
+        assert find_representation(3, (1, 10**12)) == (3, 0)
+        assert find_representation(5, (2, 3, 10**20)) == (1, 1, 0)
+        assert find_representation_with_sum(3, (1, 10**12), 3) == (3, 0)
+        assert find_representation_with_sum(5, (2, 3, 10**20), 2) == (1, 1, 0)
+        assert find_representation_with_sum(5, (2, 3, 10**20), 3) is None
+        assert time.perf_counter() - start < 0.1
 
     def test_returned_representation_valid(self):
         for b in range(0, 80):

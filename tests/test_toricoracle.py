@@ -194,7 +194,7 @@ class TestBettiProfile:
             # still not exact there
             ((30000, 59998, 59999), "at least .* mask bits", False),
         ]:
-            limit = -1 if no_mask else toricoracle.MAX_ORACLE_BITS // len(gens) ** 2 + 1
+            limit = -1 if no_mask else semigroup.MAX_MASK_BITS // len(gens) ** 2 + 1
             with pytest.raises(CapExceededError, match=unit):
                 betti_profile(gens)
             with pytest.raises(CapExceededError, match=unit):
@@ -206,7 +206,7 @@ class TestBettiProfile:
             is_ci_oracle((100000, 100001, 100002))
 
     def test_far_entry_answered_at_the_real_bound(self):
-        # the mask is cut at MAX_ORACLE_BITS // n^2 + 1 bits, not at Schur's
+        # the mask is cut at MAX_MASK_BITS // n^2 + 1 bits, not at Schur's
         # bound: 2000..2018, 500000 needs 2.7 million bits, (1000, 1001,
         # 1200000) 9.6 million, and the shift j = 33,000 of (11, 16, 28) is
         # answered at B = 39,204,141 < 2^30 / 16
@@ -237,7 +237,7 @@ class TestBettiProfile:
 
     def test_cap_sized_by_the_real_bound(self):
         # shift j = 8177 of the base (11, 16, 28): 16 reach masks sized by
-        # min*max would exceed MAX_ORACLE_BITS, but the real degree bound
+        # min*max would exceed MAX_MASK_BITS, but the real degree bound
         # needs only 16 * 2.5 million bits
         gens = (8177, 8188, 8193, 8205)
         profile = betti_profile(gens)
@@ -364,7 +364,7 @@ class TestOracleProperties:
                    or comb(n, 3) * bound > toricoracle.MAX_CLOSURE_WORK)
         expected = None if refused else betti_profile(gens)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(toricoracle, "MAX_ORACLE_BITS", 1 << log_bits)
+            mp.setattr(semigroup, "MAX_MASK_BITS", 1 << log_bits)
             if refused:
                 with pytest.raises(CapExceededError):
                     betti_profile(gens)
