@@ -18,7 +18,6 @@ from .errors import (
     CishiftError,
     InvalidCertificateError,
     NotCompleteIntersectionError,
-    WindowTooLargeError,
 )
 from .semigroup import (
     divisors,

@@ -4,8 +4,9 @@ Commands: analyze, scan, report, oracle, compare, verify-paper.
 Exit codes: 0 success / CI / agreement; 1 negative verdict, disagreement, or
 fixture failure; 2 usage or parse errors; 3 cost-cap errors.  Each cap lives
 in the module whose cost it bounds (the decider's, the scan budget, the
-oracle's and witness search's); every refusal is a CapExceededError, which
-main alone maps to exit 3.
+oracle's closure cap, and the semigroup module's one mask cap for every
+bitset); every refusal is a CapExceededError, which main alone maps to
+exit 3.
 """
 
 from __future__ import annotations

@@ -32,17 +32,20 @@ from .errors import CapExceededError, InvalidCertificateError
 from .semigroup import divisors, find_representation, is_member
 from .seqcore import GeneratorSequence, format_sequence, normalize
 
-# is_complete_intersection refuses inputs it cannot finish fast.  It builds
-# membership masks as long as the largest entry for several sides, so its
-# memory and time grow with generators x largest entry (consecutive entries
-# from 2^27: 110 MiB at 3, 118 MiB at 4 and at 6; at most 112 MiB and 3.4 s
-# with the product at 3 * 2^27), and it walks all 2^m bipartitions of m
-# generators.  It skips those that cannot split, which on 100..99+m is all
-# but 2m of them: m = 16 takes 0.03 s and m = 18 0.1 s.  Witness search
-# keeps about (coefficient sum) x target bits, which this product does not
-# bound when 1 is a generator; semigroup.MAX_MASK_BITS caps it instead
-# (1,30001,75002 peaks at 77 MiB and is answered; 1,60001,150002 and
-# 1,1000001,2500002 are refused in under 0.5 s, below 160 MiB).
+# is_complete_intersection and enumerate_splits refuse inputs they cannot
+# finish fast (_check_size).  The decider builds membership masks as long as
+# the largest entry for several sides, so its memory and time grow with
+# generators x largest entry (consecutive entries from 2^27: 110 MiB at 3,
+# 118 MiB at 4 and at 6; at most 112 MiB and 3.4 s with the product at
+# 3 * 2^27), and it walks all 2^m bipartitions of m generators.  It skips
+# those that cannot split, which on 100..99+m is all but 2m of them: m = 16
+# takes 0.03 s and m = 18 0.1 s.  With three or more generators the largest
+# entry is then at most 2^27, below the semigroup module's mask cap (2^30)
+# on a membership target.  Witness search keeps about
+# (coefficient sum) x target bits, which this product does not bound when 1
+# is a generator; that cap bounds it instead (1,30001,75002 peaks at 77 MiB
+# and is answered; 1,60001,150002 and 1,1000001,2500002 are refused in under
+# 0.5 s, below 160 MiB).
 MAX_DECIDE_SIZE = 3 << 27
 MAX_DECIDE_GENS = 17
 
@@ -151,10 +154,30 @@ def _iter_splits(entries: tuple[int, ...]) -> Iterator[_SplitTuple]:
                 yield left, right, k1, k2, left_red, right_red
 
 
+def _check_size(entries: tuple[int, ...]) -> None:
+    """Raise CapExceededError when increasing entries number more than
+    MAX_DECIDE_GENS, or generators x largest entry exceeds MAX_DECIDE_SIZE."""
+    size = len(entries) * entries[-1]
+    if size > MAX_DECIDE_SIZE:
+        raise CapExceededError(
+            f"decider: {len(entries)} generators x largest entry "
+            f"{entries[-1]} = {size} exceeds {MAX_DECIDE_SIZE}"
+        )
+    if len(entries) > MAX_DECIDE_GENS:
+        raise CapExceededError(
+            f"decider: {len(entries)} generators, more than {MAX_DECIDE_GENS}"
+        )
+
+
 def enumerate_splits(gens: GeneratorSequence) -> list[DelormeSplit]:
-    """All valid splits of a sequence with at least three entries."""
+    """All valid splits of a sequence with at least three entries.
+
+    The entries are not normalized, since the divisor loops run on them, and
+    the decider's caps (_check_size) apply to them as given.
+    """
     if len(gens) < 3:
         raise ValueError("splits are only enumerated for sequences of length >= 3")
+    _check_size(gens.gens)
     return [DelormeSplit(*split) for split in _iter_splits(gens.gens)]
 
 
@@ -182,18 +205,8 @@ def is_complete_intersection(gens: GeneratorSequence) -> CICertificate | None:
     MAX_DECIDE_SIZE or it has more than MAX_DECIDE_GENS generators.
     """
     _, reduced = normalize(gens)
-    entries = reduced.gens
-    size = len(entries) * entries[-1]
-    if size > MAX_DECIDE_SIZE:
-        raise CapExceededError(
-            f"decider: {len(entries)} generators x largest entry "
-            f"{entries[-1]} (gcd divided out) = {size} exceeds {MAX_DECIDE_SIZE}"
-        )
-    if len(entries) > MAX_DECIDE_GENS:
-        raise CapExceededError(
-            f"decider: {len(entries)} generators, more than {MAX_DECIDE_GENS}"
-        )
-    return _decide(entries)
+    _check_size(reduced.gens)
+    return _decide(reduced.gens)
 
 
 def _decide(entries: tuple[int, ...]) -> CICertificate | None:

@@ -7,12 +7,10 @@ class CishiftError(Exception):
 
 class CapExceededError(CishiftError):
     """An input would exceed a cost cap: too many factorizations at one
-    degree, decider input past its size or generator cap, or oracle or
-    witness-search masks or closure work past their limits."""
-
-
-class WindowTooLargeError(CapExceededError):
-    """A scan window exceeds the configured cost budget."""
+    degree, a scan window past its budget, decider or split-enumeration
+    input past its size or generator cap, a bitset past the semigroup
+    module's mask cap (membership, witness search, Frobenius number, or the
+    oracle's masks), or oracle closure work past its limit."""
 
 
 class NotCompleteIntersectionError(CishiftError):

@@ -11,8 +11,14 @@ from big-integer bitsets whose bit v stands for the value v:
   which the oracle shares), so its length follows F, not Schur's bound;
 * representation search keeps one mask per exact coefficient count t, so a
   witness with coefficient sum t costs O(len(gens) * t) big-integer
-  operations, however large the target; it returns the coefficient tuple,
-  and raises CapExceededError once its masks hold MAX_MASK_BITS bits.
+  operations, however large the target; it returns the coefficient tuple.
+
+This module alone decides how large a bitset may be: MAX_MASK_BITS.  Each
+kernel raises CapExceededError before it builds a mask that would pass it:
+membership and witness search on a target b >= MAX_MASK_BITS, witness search
+once its layers together pass it, and ``_frobenius_bound`` once F + 2*max
+passes its cut, MAX_MASK_BITS // copies for a caller that holds that many
+masks of that length (1 for ``frobenius``, n^2 for the oracle).
 
 Generators are checked once, where input enters (``_entries``): a
 GeneratorSequence was checked when it was built, and any other sequence must
@@ -33,10 +39,11 @@ from .seqcore import GeneratorSequence
 
 GensLike = GeneratorSequence | Sequence[int]
 
-# The bits of the masks one call may hold at once: witness search keeps every
-# layer, about (coefficient sum) x target bits, so with 1 among the
-# generators its memory grows with the square of the target, and the oracle
-# (toricoracle._prepare) holds n^2 vertex and edge masks of the degree bound.
+# The bits of the masks one call may hold at once (128 MiB): a membership
+# mask is as long as its target; witness search keeps every layer, about
+# (coefficient sum) x target bits, so with 1 among the generators its memory
+# grows with the square of the target; and the oracle (toricoracle._prepare)
+# holds n^2 vertex and edge masks of the degree bound.
 MAX_MASK_BITS = 1 << 30
 
 
@@ -48,6 +55,19 @@ def _entries(gens: GensLike) -> tuple[int, ...]:
     if min(entries, default=1) < 1:
         raise ValueError(f"generators must be positive, got {entries}")
     return entries
+
+
+def _named(entries: tuple[int, ...]) -> str:
+    """entries as a refusal names them: past eight, by their count, the
+    first three and the last."""
+    if len(entries) > 8:
+        head = ", ".join(map(str, entries[:3]))
+        return f"{len(entries)} generators ({head}, ..., {entries[-1]})"
+    return str(entries)
+
+
+def _mask_refusal(subject: str, bits: int) -> CapExceededError:
+    return CapExceededError(f"{subject} needs at least {bits} mask bits, more than {MAX_MASK_BITS}")
 
 
 def _member_bits(gens: tuple[int, ...], nbits: int) -> int:
@@ -67,9 +87,15 @@ def _member_bits(gens: tuple[int, ...], nbits: int) -> int:
 
 
 def is_member(b: int, gens: GensLike) -> bool:
-    """True iff b is a non-negative integer combination of the generators."""
+    """True iff b is a non-negative integer combination of the generators.
+
+    Raises CapExceededError when b >= MAX_MASK_BITS, before its b + 1 bit
+    mask is built.
+    """
     if b < 0:
         raise ValueError(f"membership target must be non-negative, got {b}")
+    if b >= MAX_MASK_BITS:
+        raise _mask_refusal(f"membership of {b} in {_named(_entries(gens))}", b + 1)
     return bool(_member_bits(_entries(gens), b + 1) >> b & 1)
 
 
@@ -81,19 +107,18 @@ def _count_layers(b: int, gens: tuple[int, ...]):
     operations, via R_i[t] = R_{i+1}[t] | (R_i[t-1] << g_i), with the shift
     skipped for a g_i > b, which sets no bit up to b.  Callers keep the
     layers, so CapExceededError is raised once the bits yielded pass
-    MAX_MASK_BITS.
+    MAX_MASK_BITS, and before any mask when b >= MAX_MASK_BITS.
     """
     n = len(gens)
+    if b >= MAX_MASK_BITS:
+        raise _mask_refusal(f"witness search for {b} over {_named(gens)}", b + 1)
     full = (1 << (b + 1)) - 1
     layer = [1] * (n + 1)
     bits = 0
     while True:
         bits += sum(map(int.bit_length, layer))
         if bits > MAX_MASK_BITS:
-            raise CapExceededError(
-                f"witness search for {b} over {gens} needs more than "
-                f"{MAX_MASK_BITS} mask bits"
-            )
+            raise _mask_refusal(f"witness search for {b} over {_named(gens)}", bits)
         yield layer
         prev = layer
         layer = [0] * (n + 1)
@@ -169,24 +194,29 @@ def _frobenius_floor(gens: tuple[int, ...]) -> int:
     return ((gens[0] - 2) // max(gens[-1] - gens[0], 1) + 1) * gens[0] - 1
 
 
-def _frobenius_bound(gens: tuple[int, ...], top: int) -> tuple[int, int | None]:
+def _frobenius_bound(gens: tuple[int, ...], copies: int, what: str) -> tuple[int, int]:
     """(F + 2*max, mask) for sorted gcd-1 positive gens, the membership mask
-    holding at least 0..F + 2*max; or (a lower bound on F + 2*max, None)
-    once that bound passes top.
+    holding at least 0..F + 2*max, for a caller that holds `copies` masks
+    of that length.
 
-    The bound starts from _frobenius_floor.  Each round builds the mask on
-    min(4*bound, top) + 1 bits and reads F as its highest zero bit.  That is
+    No mask passes the cut min(MAX_MASK_BITS // copies, S) with Schur's
+    S = (min-1)(max-1) + 2*max, which F + 2*max never reaches.  The bound
+    starts from _frobenius_floor.  Each round builds the mask on
+    min(4*bound, cut) + 1 bits and reads F as its highest zero bit.  That is
     exact once F + 2*max < nbits, since the 2*max >= min members above it
-    admit every larger value; else F + 2*max >= nbits is the next bound.
+    admit every larger value; else F + 2*max >= nbits is the next bound.  A
+    bound past the cut raises CapExceededError: `what` needs at least copies
+    times that many mask bits.
     """
+    cut = min(MAX_MASK_BITS // copies, (gens[0] - 1) * (gens[-1] - 1) + 2 * gens[-1])
     bound = _frobenius_floor(gens) + 2 * gens[-1]
-    while bound <= top:
-        nbits = min(4 * bound, top) + 1
+    while bound <= cut:
+        nbits = min(4 * bound, cut) + 1
         mask = _member_bits(gens, nbits)
         bound = (~mask & ((1 << nbits) - 1)).bit_length() - 1 + 2 * gens[-1]
         if bound < nbits:
             return bound, mask
-    return bound, None
+    raise _mask_refusal(f"{what} for {_named(gens)}", copies * bound)
 
 
 def frobenius(gens: GensLike) -> int:
@@ -194,7 +224,8 @@ def frobenius(gens: GensLike) -> int:
 
     A pair's F is Sylvester's, read with no mask.  Otherwise F is read off a
     membership mask grown from a lower bound on F (see _frobenius_bound),
-    never past Schur's bound F < (min-1)(max-1).
+    never past Schur's bound F < (min-1)(max-1); CapExceededError when F +
+    2*max passes MAX_MASK_BITS.
     """
     entries = tuple(sorted(_entries(gens)))
     d = gcd(*entries)
@@ -202,8 +233,7 @@ def frobenius(gens: GensLike) -> int:
         raise ValueError(f"frobenius number undefined: gcd({entries}) = {d}")
     if len(entries) == 2:
         return _frobenius_floor(entries)
-    g0, gmax = entries[0], entries[-1]
-    return _frobenius_bound(entries, (g0 - 1) * (gmax - 1) + 2 * gmax)[0] - 2 * gmax
+    return _frobenius_bound(entries, 1, "Frobenius number")[0] - 2 * entries[-1]
 
 
 def divisors(n: int) -> tuple[int, ...]:

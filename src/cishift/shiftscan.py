@@ -22,7 +22,6 @@ split analysis, both exercised by the test suite and both coded once, in
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from math import gcd
 
@@ -33,14 +32,12 @@ from .delorme import (
     verify_certificate,
 )
 from .errors import (
+    CapExceededError,
     InvalidCertificateError,
     NotCompleteIntersectionError,
-    WindowTooLargeError,
 )
 from .semigroup import divisors, find_representation_with_sum, is_member
 from .seqcore import BaseSequence, GeneratorSequence, shift
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_SCAN_BUDGET = 50_000_000
 
@@ -159,7 +156,7 @@ def scan(
     limit = DEFAULT_SCAN_BUDGET if budget is None else budget
     cost = _scan_cost(base, j_from, j_to)
     if cost > limit:
-        raise WindowTooLargeError(
+        raise CapExceededError(
             f"window [{j_from}, {j_to}] for {base} has estimated cost "
             f"{cost} above the budget {limit}"
         )
@@ -237,14 +234,7 @@ def n2_criterion(a: int, b: int, j: int) -> N2Witness | None:
     for k, kp, rep in _singleton_splits(j, a, (b,)):
         assert rep is not None
         alpha, beta = (kp * c for c in rep)
-        s_gcd = gcd(a, b - a)
-        witness = N2Witness(a, b, j, k, alpha, beta, s_gcd)
-        if b != s_gcd * k:
-            logger.debug(
-                "n2 witness at (a=%d, b=%d, j=%d): b != gcd(a, b-a) * k "
-                "(%d != %d * %d)", a, b, j, b, s_gcd, k,
-            )
-        return witness
+        return N2Witness(a, b, j, k, alpha, beta, gcd(a, b - a))
     return None
 
 

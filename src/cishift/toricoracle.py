@@ -18,9 +18,10 @@ Two interchangeable engines compute the per-degree component counts:
   AND/OR pairs for n generators.  Marking each component at its smallest
   vertex, is_ci_oracle reads mu as the marks' popcount minus that of their
   union, with no per-degree profile.  Degrees run to F + 2*max.  F is read
-  off the membership mask itself, grown from a lower bound on F and never
-  past the length at which the masks would pass semigroup.MAX_MASK_BITS;
-  an input whose F is not exact there is refused (see _prepare).
+  off the membership mask itself, grown from a lower bound on F; the
+  semigroup module sizes that mask for the n^2 vertex and edge masks the
+  closure holds, and refuses an input whose masks would be too large (see
+  _prepare).
 * "enumerate" lists every factorization per degree (depth-first, subject to
   a cap) and unions them coordinate by coordinate, exactly mirroring the
   definition.  It exists as the slow reference path.
@@ -33,18 +34,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from . import semigroup
 from .errors import CapExceededError
-from .semigroup import GensLike, _entries, _frobenius_bound
+from .semigroup import GensLike, _entries, _frobenius_bound, _named
 from .seqcore import GeneratorSequence, normalize
 
 DEFAULT_FACTORIZATION_CAP = 50_000
 
-# the oracle refuses an input whose len(gens)^2 vertex and edge masks, sized
-# by the degree bound, would hold more than semigroup.MAX_MASK_BITS bits, or
-# whose closure, charged its C(len(gens), 3) AND/OR pairs times the degree
-# bound in bit operations, would take more than this: intervals 220..439 and
-# 300..599 take 0.45 s (1.9e9) and 1.1 s (6.7e9) on one core
+# the oracle refuses an input whose closure, charged its C(len(gens), 3)
+# AND/OR pairs times the degree bound in bit operations, would take more than
+# this: intervals 220..439 and 300..599 take 0.45 s (1.9e9) and 1.1 s (6.7e9)
+# on one core
 MAX_CLOSURE_WORK = 1 << 33
 
 
@@ -193,35 +192,25 @@ def _disconnected_degrees(gens: tuple[int, ...], mask: int, upto: int) -> dict[i
     return out
 
 
-def _refuse_oversized(entries: tuple[int, ...], amount: int, limit: int, unit: str) -> None:
-    if amount > limit:
-        if len(entries) > 8:
-            head = ", ".join(map(str, entries[:3]))
-            name = f"{len(entries)} generators ({head}, ..., {entries[-1]})"
-        else:
-            name = str(entries)
-        raise CapExceededError(f"oracle for {name} needs at least {amount} {unit}, more than {limit}")
-
-
 def _prepare(seq: GeneratorSequence) -> tuple:
     """(d, rgens, B, mask) for seq = d * rgens: the degree bound B = F + 2*max
     over rgens and the membership mask of rgens on at least 0..B.  B suffices:
     past it every b - g - h exceeds F, so every pair of generators is joined.
 
-    The mask grows from a lower bound on B, never past the
-    semigroup.MAX_MASK_BITS // n^2 + 1 bits at which n^2 masks of B bits
-    would pass the cap (see semigroup._frobenius_bound).  A B not exact
-    there is a lower bound that already passes the cap, refused on "at
-    least" that many mask bits; an exact B never is.  The closure is charged its C(n, 3)
-    AND/OR pairs of B bits.
+    _frobenius_bound sizes the mask for the n^2 masks of B bits the closure
+    holds, and refuses an input whose B would make them too large.  The
+    closure is charged its C(n, 3) AND/OR pairs of B bits.
     """
     d, reduced = normalize(seq)
     rgens = reduced.gens
     n = len(rgens)
-    # read at call time, so that one patch of it reaches witness search too
-    B, mask = _frobenius_bound(rgens, semigroup.MAX_MASK_BITS // (n * n))
-    _refuse_oversized(seq.gens, n * n * B, semigroup.MAX_MASK_BITS, "mask bits")
-    _refuse_oversized(seq.gens, comb(n, 3) * B, MAX_CLOSURE_WORK, "closure bit operations")
+    B, mask = _frobenius_bound(rgens, n * n, "oracle")
+    work = comb(n, 3) * B
+    if work > MAX_CLOSURE_WORK:
+        raise CapExceededError(
+            f"oracle for {_named(rgens)} needs at least {work} closure bit "
+            f"operations, more than {MAX_CLOSURE_WORK}"
+        )
     return d, rgens, B, mask
 
 
@@ -230,9 +219,9 @@ def betti_profile(gens: GensLike, *, engine: str = "graph") -> BettiProfile:
     over the gcd-normalized sequence (see _prepare).
 
     An unknown engine raises ValueError before any mask is built.  Inputs
-    over semigroup.MAX_MASK_BITS or MAX_CLOSURE_WORK raise CapExceededError
-    before the vertex and edge masks are built, and no membership mask
-    passes the length at which the former would be exceeded.
+    whose masks the semigroup module refuses, or whose closure would pass
+    MAX_CLOSURE_WORK, raise CapExceededError before the vertex and edge
+    masks are built.
     """
     if engine not in ("graph", "enumerate"):
         raise ValueError(f"unknown engine {engine!r}")

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import time
 from math import gcd
 
 import pytest
@@ -20,7 +21,7 @@ from cishift.delorme import (
     is_complete_intersection,
     verify_certificate,
 )
-from cishift.errors import InvalidCertificateError
+from cishift.errors import CapExceededError, InvalidCertificateError
 from cishift.seqcore import GeneratorSequence
 from cishift.toricoracle import is_ci_oracle
 
@@ -79,6 +80,14 @@ class TestEnumerateSplits:
     def test_requires_three_entries(self):
         with pytest.raises(ValueError):
             enumerate_splits(GeneratorSequence((2, 3)))
+
+    def test_oversized_input_refused_fast(self):
+        # divisors(10**20 + 1) alone would take 10^10 trial divisions; the
+        # decider's size cap applies to the entries as given
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="decider"):
+            enumerate_splits(GeneratorSequence((6, 10, 10**20 + 1)))
+        assert time.perf_counter() - start < 0.1
 
     def test_469_contains_expected_split(self):
         splits = enumerate_splits(GeneratorSequence((4, 6, 9)))

@@ -22,7 +22,7 @@ from cishift.semigroup import (
     is_member,
 )
 from cishift.seqcore import BaseSequence, GeneratorSequence
-from cishift.shiftscan import scan
+from cishift.shiftscan import n2_criterion, scan
 
 
 @lru_cache(maxsize=None)
@@ -182,6 +182,49 @@ class TestTableCap:
             clear_caches()
         assert cert is None
         assert peak < 8 * 2**20
+
+
+class TestMaskCap:
+    @pytest.mark.parametrize("call, args", [
+        # j + 3 = 10^20 + 3 is a membership target over (j/5, (j+5)/5): its
+        # mask would be an int too wide to build (OverflowError)
+        pytest.param(n2_criterion, (3, 5, 10**20), id="n2_criterion"),
+        # masks of 1e11 and 1e10 bits (MemoryError); F + 2*max of three
+        # generators near 1e6 passes 5e11
+        pytest.param(is_member, (10**11, (3, 5)), id="is_member"),
+        pytest.param(frobenius, ((10**6, 10**6 + 1, 10**6 + 2),), id="frobenius"),
+        pytest.param(find_representation, (10**10, (3, 5)), id="find_representation"),
+        pytest.param(find_representation_with_sum, (10**10, (3, 5), 2),
+                     id="find_representation_with_sum"),
+    ])
+    def test_oversized_target_refused_before_its_mask(self, call, args):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(CapExceededError, match="needs at least .* mask bits"):
+                call(*args)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 8 << 20
+
+    def test_cut_boundary(self, monkeypatch):
+        # a target below MAX_MASK_BITS is answered, one at it refused
+        monkeypatch.setattr(semigroup, "MAX_MASK_BITS", 1000)
+        assert is_member(999, (3, 5)) is True
+        assert is_member(999, (1000,)) is False
+        with pytest.raises(CapExceededError, match="membership of 1000 in"):
+            is_member(1000, (3, 5))
+        # the layers of 997 over (997,) hold 2 + 998 bits
+        assert find_representation(997, (997,)) == (1,)
+        assert find_representation(999, (1000,)) is None
+        assert find_representation_with_sum(999, (1000,), 1) is None
+        for call, args in [(find_representation, (1000, (1001,))),
+                           (find_representation_with_sum, (1000, (1001,), 1))]:
+            with pytest.raises(CapExceededError, match="witness search for 1000 over"):
+                call(*args)
 
 
 class TestMembership:

@@ -6,9 +6,9 @@ import pytest
 from cishift import clear_caches
 from cishift.delorme import Leaf, certificate_to_json
 from cishift.errors import (
+    CapExceededError,
     InvalidCertificateError,
     NotCompleteIntersectionError,
-    WindowTooLargeError,
 )
 from cishift.seqcore import BaseSequence
 from cishift.shiftscan import (
@@ -49,10 +49,10 @@ class TestScan:
             scan(BaseSequence((1, 2)), 0, 4)
 
     def test_cost_cap(self):
-        with pytest.raises(WindowTooLargeError):
+        with pytest.raises(CapExceededError, match="budget"):
             scan(BaseSequence((11, 16, 28)), 1, 10 ** 7)
         # explicit budgets loosen or tighten the cap
-        with pytest.raises(WindowTooLargeError):
+        with pytest.raises(CapExceededError, match="budget"):
             scan(BaseSequence((1, 2)), 1, 50, budget=10)
 
     def test_default_budget_admits_large_shifts(self):
