@@ -11,11 +11,12 @@ gcd(B2) = 1, so k1 and k2 are the gcds of the two sides and the recursion
 never normalizes again: gcd(B1) divides every left entry, and k2 through the
 witness of k2 in <B1>, so every right entry too; likewise for B2.
 
-The split search skips a bipartition when a side of gcd 1 faces a side whose
-smallest entry is not that side's gcd; no valid split can come from it, on
-any input.  Proof: gcd(left) = 1 gives k1 = 1, and 1 in <right/k2> needs k2
-to be a right entry, while k2 | gcd(right) <= min(right), so
-k2 = gcd(right) = min(right); likewise with the sides swapped.
+The split search skips a bipartition when gcd(left) * gcd(right) is below
+the larger of the two sides' smallest entries; no valid split can come from
+it, on any input.  Proof: k1 >= 1 lies in <right/k2>, so k1 >= min(right)/k2,
+and likewise k2 >= min(left)/k1; so k1*k2 is at least both smallest entries,
+while k1 | gcd(left) and k2 | gcd(right) give k1*k2 <= gcd(left)*gcd(right).
+The gluing degree k1*k2 is thus bounded by the sides' gcds.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from .seqcore import GeneratorSequence, format_sequence, normalize
 # generators x largest entry (consecutive entries from 2^27: 110 MiB at 3,
 # 118 MiB at 4 and at 6; at most 112 MiB and 3.4 s with the product at
 # 3 * 2^27), and it walks all 2^m bipartitions of m generators.  It skips
-# those that cannot split, which on 100..99+m is all but 2m of them: m = 16
-# takes 0.03 s and m = 18 0.1 s.  With three or more generators the largest
-# entry is then at most 2^27, below the semigroup module's mask cap (2^30)
-# on a membership target.  Witness search keeps about
+# those that cannot split, which on 100..99+m is all but 2m - 2 of them:
+# m = 16 takes 0.03 s and m = 18 0.1 s.  With three or more generators the
+# largest entry is then at most 2^27, below the semigroup module's mask cap
+# (2^30) on a membership target.  Witness search keeps about
 # (coefficient sum) x target bits, which this product does not bound when 1
 # is a generator; that cap bounds it instead (1,30001,75002 peaks at 77 MiB
 # and is answered; 1,60001,150002 and 1,1000001,2500002 are refused in under
@@ -116,14 +117,16 @@ def _iter_splits(entries: tuple[int, ...]) -> Iterator[_SplitTuple]:
     ascending, then k1 descending, then k2 descending.
 
     Each side's gcd is read off a table of all 2^m subset gcds, built with
-    one gcd per subset.  A bipartition is skipped when a side of gcd 1 faces
-    a side whose smallest entry is not that side's gcd.
-    Proof: gcd(left) = 1 gives k1 = 1, and 1 in <right/k2> needs k2 to be a
-    right entry, while k2 | gcd(right) <= min(right), so k2 = gcd(right) =
-    min(right); likewise with the sides swapped.  In every other bipartition k1 runs over the
-    divisors of the left side's gcd and k2 over those of the right side's;
-    each pair with gcd(k1, k2) = 1 costs the membership query k1 in <right
-    reduced>, and k2 in <left reduced> if that holds.
+    one gcd per subset.  A bipartition is skipped when gl * gr, the product
+    of the sides' gcds, is below max(min(left), min(right)): a valid split
+    has k1 | gl and k2 | gr, and k1*k2 >= both smallest entries, since k1 is
+    in <right/k2> and k2 in <left/k1>.  With gl = 1 the test asks
+    gr = min(right), as gr | min(right); it also drops sides whose gcds
+    exceed 1 but multiply to too little, such as the singleton {j} of a shift
+    whose other entries are coprime.  In every other bipartition k1 runs
+    over the divisors of gl and k2 over those of gr; each pair with
+    gcd(k1, k2) = 1 costs the membership query k1 in <right reduced>, and
+    k2 in <left reduced> if that holds.
     """
     gcds = [0]  # gcds[mask]: gcd of the entries whose bits mask sets
     for v in entries:
@@ -133,10 +136,10 @@ def _iter_splits(entries: tuple[int, ...]) -> Iterator[_SplitTuple]:
     for mask in range(1, full):
         rmask = full ^ mask
         gl, gr = gcds[mask], gcds[rmask]
-        # entries increase, so a side's smallest entry sits at its lowest set bit
-        if gl == 1 and gr != value((rmask & -rmask).bit_length() - 1):
-            continue
-        if gr == 1 and gl != value((mask & -mask).bit_length() - 1):
+        # entries increase, so max(min(left), min(right)) is the smallest entry
+        # of the side without entries[0], at that side's lowest set bit
+        other = rmask if mask & 1 else mask
+        if gl * gr < value((other & -other).bit_length() - 1):
             continue
         left, right = _indices(mask), _indices(rmask)
         left_vals = tuple(map(value, left))
@@ -253,9 +256,13 @@ def _verify(entries: tuple[int, ...], cert: CICertificate) -> bool:
     split = cert.split
     left, right, k1, k2 = split.left_indices, split.right_indices, split.k1, split.k2
     left_red, right_red = split.left_reduced, split.right_reduced
-    # two non-empty sides partition the indices, each k times its reduced form
+    # two non-empty sides partition the indices, each k times its reduced form;
+    # every number is a plain int, since an equal float or bool would pass the
+    # arithmetic below (4 * 1.25 == 5)
     return (
         0 < len(left) < len(entries) and sorted(left + right) == [*range(len(entries))]
+        and all(type(v) is int for v in (k1, k2, *left_red, *right_red,
+                                         *cert.k1_witness, *cert.k2_witness))
         and k1 >= 1 and k2 >= 1 and gcd(k1, k2) == 1
         and [entries[i] for i in left] == [k1 * v for v in left_red]
         and [entries[i] for i in right] == [k2 * v for v in right_red]

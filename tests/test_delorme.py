@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cishift import clear_caches
+from cishift import clear_caches, delorme
 from cishift.delorme import (
+    DelormeSplit,
     Leaf,
     SplitNode,
     _indices,
@@ -76,6 +77,21 @@ class TestEnumerateSplits:
             for s in enumerate_splits(GeneratorSequence(scaled))
         ]
         assert splits == reference_splits(scaled)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # the scaled inputs of test_matches_unskipped_reference
+        st.lists(st.integers(1, 30), min_size=3, max_size=6, unique=True)
+        .map(lambda xs: tuple(sorted(xs)))
+        .filter(lambda g: gcd(*g) == 1),
+        st.sampled_from([1, 2, 3, 4, 5, 6]),
+    )
+    def test_reference_splits_obey_gluing_degree_bound(self, gens, factor):
+        # the bound the search skips by: k1 in <right/k2> and k2 in <left/k1>
+        # give k1*k2 >= max(min(left), min(right))
+        scaled = tuple(factor * g for g in gens)
+        for left, right, k1, k2, _, _ in reference_splits(scaled):
+            assert k1 * k2 >= max(scaled[left[0]], scaled[right[0]]), (left, k1, k2)
 
     def test_requires_three_entries(self):
         with pytest.raises(ValueError):
@@ -152,13 +168,28 @@ class TestBipartitions:
 
     def test_side_index_cache_bounded_and_cleared(self):
         clear_caches()
-        # no side of 2*(100..113) has gcd 1, so none of its 2^14 - 2
-        # bipartitions is skipped and each reads its sides' indices
+        # only the singletons of 2*(100..113) and their mirrors meet the
+        # gluing-degree bound, so 28 of its 2^14 - 2 bipartitions read their
+        # sides' indices
         assert enumerate_splits(GeneratorSequence(tuple(range(200, 228, 2)))) == []
         info = _indices.cache_info()
         assert 0 < info.currsize <= info.maxsize
         clear_caches()
         assert _indices.cache_info().currsize == 0
+
+    def test_reads_only_bipartitions_within_the_bound(self, monkeypatch):
+        # (J, J+11, J+16, J+28) at J = 1001 = 7*11*13: the singleton {J}
+        # and its mirror have gcds 1001 and 1, whose product is below
+        # min(J+11, J+16, J+28); so is 11 * 3 for {J, J+11} | {J+16, J+28},
+        # though neither side has gcd 1.  The singletons of the other three
+        # entries meet the bound with equality.
+        read = []
+        monkeypatch.setattr(delorme, "_indices", lambda mask: read.append(mask) or _indices(mask))
+        assert list(delorme._iter_splits((1001, 1012, 1017, 1029))) == []
+        left_masks = read[0::2]
+        assert read[1::2] == [0b1111 ^ mask for mask in left_masks]
+        assert 0b0001 not in left_masks and 0b1110 not in left_masks
+        assert left_masks == [0b0010, 0b0100, 0b0111, 0b1000, 0b1011, 0b1101]
 
 
 class TestDecision:
@@ -276,6 +307,46 @@ class TestVerifier:
         ]:
             bad = dataclasses.replace(split, left_indices=bad_left, right_indices=bad_right)
             assert verify_certificate(seq, dataclasses.replace(cert, split=bad)) is False
+
+
+# certificates for (3, 4, 5), which is not CI, that hold only because an
+# equal float passes the arithmetic: 4 * 1.25 == 5 in a reduced side, and
+# 3 == 0.75 * 4 in a witness
+_FLOAT_FORGERIES = [
+    SplitNode(DelormeSplit((0,), (1, 2), 3, 4, (1,), (1, 1.25)), (3, 0), (4,),
+              Leaf((1,)), Leaf((1, 1.25))),
+    SplitNode(DelormeSplit((0,), (1, 2), 3, 1, (1,), (4, 5)), (0.75, 0), (1,),
+              Leaf((1,)), Leaf((4, 5))),
+]
+
+
+def _with_float(values, i):
+    return values[:i] + (float(values[i]),) + values[i + 1:]
+
+
+class TestVerifierIntegerTypes:
+    @pytest.mark.parametrize("forged", _FLOAT_FORGERIES)
+    def test_rejects_float_forgery(self, forged):
+        assert ci((3, 4, 5)) is None
+        assert verify_certificate(GeneratorSequence((3, 4, 5)), forged) is False
+
+    def test_rejects_equal_float_in_any_number_of_a_node(self):
+        seq = GeneratorSequence((28, 31, 36, 48))
+        cert = ci(seq.gens)
+        assert verify_certificate(seq, cert)
+        split = cert.split
+        bad = [dataclasses.replace(cert, split=dataclasses.replace(split, **{f: float(getattr(split, f))}))
+               for f in ("k1", "k2")]
+        for f in ("left_reduced", "right_reduced"):
+            for i in range(len(getattr(split, f))):
+                floated = _with_float(getattr(split, f), i)
+                bad.append(dataclasses.replace(cert, split=dataclasses.replace(split, **{f: floated})))
+        for f in ("k1_witness", "k2_witness"):
+            for i in range(len(getattr(cert, f))):
+                bad.append(dataclasses.replace(cert, **{f: _with_float(getattr(cert, f), i)}))
+        assert len(bad) == 2 + 4 + 4
+        for forged in bad:
+            assert verify_certificate(seq, forged) is False, forged
 
 
 def _node_entries(split):
