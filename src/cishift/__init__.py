@@ -1,18 +1,16 @@
 """Complete-intersection testing for monomial curves and their shifted families."""
 
-from .delorme import (
+from .certificates import (
     CICertificate,
     DelormeSplit,
     Leaf,
     SplitNode,
     certificate_from_json,
     certificate_to_json,
-    clear_caches,
-    enumerate_splits,
     format_certificate,
-    is_complete_intersection,
     verify_certificate,
 )
+from .delorme import clear_caches, enumerate_splits, is_complete_intersection
 from .errors import (
     CapExceededError,
     CishiftError,

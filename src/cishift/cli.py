@@ -19,7 +19,7 @@ import sys
 import time
 from math import gcd
 
-from . import delorme, shiftscan, toricoracle
+from . import certificates, delorme, shiftscan, toricoracle
 from .errors import CapExceededError
 from .seqcore import (
     BaseSequence,
@@ -48,18 +48,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _print_json({
             "sequence": list(seq.gens),
             "ci": cert is not None,
-            "certificate": delorme.certificate_to_dict(cert) if cert else None,
+            "certificate": certificates.certificate_to_dict(cert) if cert else None,
         })
     elif args.format == "csv":
         print("sequence,ci,certificate")
-        text = delorme.format_certificate(cert) if cert else ""
+        text = certificates.format_certificate(cert) if cert else ""
         print(f"\"{seq}\",{str(cert is not None).lower()},\"{text}\"")
     else:
         if cert is None:
             print(f"not CI: {seq}")
         else:
             print(f"CI: {seq}")
-            print(f"certificate: {delorme.format_certificate(cert)}")
+            print(f"certificate: {certificates.format_certificate(cert)}")
     return EXIT_OK if cert is not None else EXIT_NEGATIVE
 
 
@@ -212,7 +212,7 @@ def _fixture_sporadic_ci() -> tuple[bool, str]:
         return False, "(28,31,36,48) not recognized as CI"
     anatomy = shiftscan.top_split_anatomy(cert)
     if anatomy is None or anatomy.singleton_value != 31 or anatomy.k != 4:
-        return False, f"unexpected top split {delorme.format_certificate(cert)}"
+        return False, f"unexpected top split {certificates.format_certificate(cert)}"
     if anatomy.pair_reduced != (7, 9, 12):
         return False, f"pair part {anatomy.pair_reduced} != (7, 9, 12)"
     return True, "split 31·(1) ⊔ 4·(7,9,12) found"

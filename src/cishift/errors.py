@@ -21,6 +21,7 @@ class InvalidCertificateError(CishiftError):
     """A certificate is malformed, or does not validate against the sequence
     it was given for.
 
-    certificate_from_dict and certificate_from_json raise it for every
-    structural defect of their input, bad or too deeply nested JSON included.
+    certificate_from_dict and certificate_from_json, in the certificates
+    module, raise it for every structural defect of their input, bad or too
+    deeply nested JSON included.
     """

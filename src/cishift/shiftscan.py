@@ -25,12 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .delorme import (
-    CICertificate,
-    SplitNode,
-    is_complete_intersection,
-    verify_certificate,
-)
+from .certificates import CICertificate, SplitNode, verify_certificate
+from .delorme import is_complete_intersection
 from .errors import (
     CapExceededError,
     InvalidCertificateError,

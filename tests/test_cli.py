@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cishift import delorme, shiftscan, toricoracle
+from cishift import certificates, shiftscan, toricoracle
 from cishift.cli import build_parser, main
 from cishift.seqcore import GeneratorSequence
 
@@ -43,8 +43,8 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "28,31,36,48", "--format", "json")
         assert code == 0
         data = json.loads(out)
-        cert = delorme.certificate_from_dict(data["certificate"])
-        assert delorme.verify_certificate(GeneratorSequence((28, 31, 36, 48)), cert)
+        cert = certificates.certificate_from_dict(data["certificate"])
+        assert certificates.verify_certificate(GeneratorSequence((28, 31, 36, 48)), cert)
 
 
 class TestScan:

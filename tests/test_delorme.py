@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import itertools
 import json
 import time
@@ -8,20 +10,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cishift import clear_caches, delorme
-from cishift.delorme import (
+from cishift import certificates, clear_caches, delorme
+from cishift.certificates import (
     DelormeSplit,
     Leaf,
     SplitNode,
-    _indices,
     certificate_from_dict,
     certificate_from_json,
     certificate_to_json,
-    enumerate_splits,
     format_certificate,
-    is_complete_intersection,
     verify_certificate,
 )
+from cishift.delorme import _indices, enumerate_splits, is_complete_intersection
 from cishift.errors import CapExceededError, InvalidCertificateError
 from cishift.seqcore import GeneratorSequence
 from cishift.toricoracle import is_ci_oracle
@@ -244,8 +244,30 @@ class TestDecision:
             assert len(coeffs) == len(gens) and min(coeffs) >= 0
             assert sum(c * g for c, g in zip(coeffs, gens)) == k
 
+    def test_plain_sequence(self):
+        # read as a GeneratorSequence, like the oracle's inputs
+        assert is_complete_intersection((28, 31, 36, 48)) == ci((28, 31, 36, 48))
+        assert is_complete_intersection([56, 62, 72, 96]) == ci((28, 31, 36, 48))
+        assert is_complete_intersection([3, 4, 5]) is None
+        for bad in [(31, 28), (0, 3), (4, 4)]:
+            with pytest.raises(ValueError):
+                is_complete_intersection(bad)
+
 
 class TestVerifier:
+    def test_plain_sequence(self):
+        cert = ci((28, 31, 36, 48))
+        for gens in [(28, 31, 36, 48), [28, 31, 36, 48], (56, 62, 72, 96)]:
+            assert verify_certificate(gens, cert) is True
+        assert verify_certificate((3, 4, 5), cert) is False
+        # a sequence that is not strictly increasing and positive verifies
+        # nothing, not even the leaf equal to it
+        for gens in [(-1, 2), (0, 2), (2, 2), (3, 2), (2.0, 3), (True, 2), ()]:
+            leaf = Leaf(tuple(gens))
+            assert verify_certificate(gens, leaf) is False, gens
+        assert verify_certificate((2, 2), Leaf((1, 1))) is False
+        assert verify_certificate((48, 36, 31, 28), cert) is False
+
     def test_round_trip_accepts(self):
         for gens in [(28, 31, 36, 48), (4, 6, 9), (8, 17, 18), (2, 3), (7,), (1, 2, 3)]:
             cert = ci(gens)
@@ -278,6 +300,13 @@ class TestVerifier:
         bad = (-8, 7, 2)
         assert sum(c * g for c, g in zip(bad, (7, 9, 12))) == 31
         assert verify_certificate(seq, dataclasses.replace(cert, k1_witness=bad)) is False
+
+    def test_rejects_forgery_with_coefficient_minus_one(self):
+        # (3, 4, 5) is not CI, yet 3·(1) ⊔ 1·(4,5) holds with 3 = 2*4 - 1*5,
+        # so a sign check that let -1 through would accept it
+        forged = SplitNode(DelormeSplit((0,), (1, 2), 3, 1, (1,), (4, 5)), (2, -1), (1,),
+                           Leaf((1,)), Leaf((4, 5)))
+        assert verify_certificate((3, 4, 5), forged) is False
 
     def test_rejects_witness_longer_than_its_gens(self):
         # a trailing 0 leaves the weighted sum alone, but not the length
@@ -588,3 +617,17 @@ class TestOracleAgreementDeskScale:
                 if d != 1:
                     continue
                 assert (ci(comb) is not None) == is_ci_oracle(comb), comb
+
+
+class TestModuleBoundary:
+    def test_certificates_imports_only_errors_from_the_package(self):
+        tree = ast.parse(inspect.getsource(certificates))
+        imported = {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for alias in node.names}
+        assert {name for name in imported if name.startswith((".", "cishift"))} == {".errors"}
+
+    def test_delorme_keeps_the_checker_name(self):
+        # the benchmark harness calls and traces delorme.verify_certificate
+        assert delorme.verify_certificate is certificates.verify_certificate

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cishift import clear_caches, semigroup
-from cishift.delorme import certificate_to_json, is_complete_intersection
+from cishift.certificates import certificate_to_json
+from cishift.delorme import is_complete_intersection
 from cishift.errors import CapExceededError
 from cishift.semigroup import (
     _frobenius_floor,

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from cishift import clear_caches
-from cishift.delorme import Leaf, certificate_to_json
+from cishift.certificates import Leaf, certificate_to_json
 from cishift.errors import (
     CapExceededError,
     InvalidCertificateError,

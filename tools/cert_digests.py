@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from cishift import delorme, seqcore, shiftscan  # noqa: E402
+from cishift import certificates, delorme, seqcore, shiftscan  # noqa: E402
 
 FULL = workloads.SIZES["full"]
 CRITERION_08 = replace(FULL, sweep_top=40)
@@ -37,7 +37,7 @@ CRITERION_08 = replace(FULL, sweep_top=40)
 def _digest(certs) -> str:
     digest = hashlib.sha256()
     for cert in certs:
-        text = "null" if cert is None else delorme.certificate_to_json(cert)
+        text = "null" if cert is None else certificates.certificate_to_json(cert)
         digest.update(text.encode() + b"\n")
     return digest.hexdigest()
 
