@@ -6,10 +6,13 @@ and both parts recursively complete intersections; sequences of length one
 or two always qualify.  The search returns the first such tree as a
 certificate (the types, forms and checker live in the certificates module).
 
-It works on gcd-normalized sequences.  A valid split of one has gcd(B1) =
-gcd(B2) = 1, so k1 and k2 are the gcds of the two sides and the recursion
-never normalizes again: gcd(B1) divides every left entry, and k2 through the
-witness of k2 in <B1>, so every right entry too; likewise for B2.
+Every split it lists or searches is a split of the gcd-normalized
+sequence: both public entry points divide out the gcd first (_normalized),
+which is the frame every certificate and its checker use.  A valid split of
+a normalized sequence has gcd(B1) = gcd(B2) = 1, so k1 and k2 are the gcds
+of the two sides and the recursion never normalizes again: gcd(B1) divides
+every left entry, and k2 through the witness of k2 in <B1>, so every right
+entry too; likewise for B2.
 
 The split search skips a bipartition when gcd(left) * gcd(right) is below
 the larger of the two sides' smallest entries; no valid split can come from
@@ -22,7 +25,6 @@ The gluing degree k1*k2 is thus bounded by the sides' gcds.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, count
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -51,21 +53,22 @@ MAX_DECIDE_SIZE = 3 << 27
 MAX_DECIDE_GENS = 17
 
 
-# maps the digits of a binary numeral to the bytes 0 and 1
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
 @lru_cache(maxsize=4096)
 def _indices(mask: int) -> tuple[int, ...]:
     """Positions of the set bits of mask, ascending.
 
     A function of the mask alone, so every sequence length shares it, and
-    memoized certificates share the tuples it returns.  Past about 12
-    generators most calls miss the cache; reading the bits off the binary
-    numeral keeps a miss cheaper than a Python loop over the bits.
+    memoized certificates share the tuples it returns.  Most calls miss the
+    cache when most of the 2^m bipartitions pass the gluing-degree bound (as
+    on 1, 2, 4, ..., 2^16); peeling off the lowest set bit takes one step per
+    set bit, where testing each bit position takes one per position.
     """
-    bits = format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
-    return tuple(compress(count(), bits))
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(found)
 
 
 # one valid split: (left, right, k1, k2, left_reduced, right_reduced)
@@ -73,9 +76,9 @@ _SplitTuple = tuple[tuple[int, ...], tuple[int, ...], int, int, tuple[int, ...],
 
 
 def _iter_splits(entries: tuple[int, ...]) -> Iterator[_SplitTuple]:
-    """All valid splits of increasing entries in canonical order, as plain
-    tuples (left, right, k1, k2, left_reduced, right_reduced): left bitmask
-    ascending, then k1 descending, then k2 descending.
+    """All valid splits of increasing entries of gcd 1 in canonical order, as
+    plain tuples (left, right, k1, k2, left_reduced, right_reduced): left
+    bitmask ascending, then k1 descending, then k2 descending.
 
     Each side's gcd is read off a table of all 2^m subset gcds, built with
     one gcd per subset.  A bipartition is skipped when gl * gr, the product
@@ -85,9 +88,11 @@ def _iter_splits(entries: tuple[int, ...]) -> Iterator[_SplitTuple]:
     gr = min(right), as gr | min(right); it also drops sides whose gcds
     exceed 1 but multiply to too little, such as the singleton {j} of a shift
     whose other entries are coprime.  In every other bipartition k1 runs
-    over the divisors of gl and k2 over those of gr; each pair with
-    gcd(k1, k2) = 1 costs the membership query k1 in <right reduced>, and
-    k2 in <left reduced> if that holds.
+    over the divisors of gl and k2 over those of gr.  Every pair is coprime,
+    as gcd(gl, gr) = gcd(entries) = 1, and costs the membership query k1 in
+    <right reduced>, and k2 in <left reduced> if that holds.  Only the pair
+    (gl, gr) can pass both (see the module docstring); the loops over the
+    other divisors still run, and cost most of the queries.
     """
     gcds = [0]  # gcds[mask]: gcd of the entries whose bits mask sets
     for v in entries:
@@ -108,14 +113,9 @@ def _iter_splits(entries: tuple[int, ...]) -> Iterator[_SplitTuple]:
         for k1 in reversed(divisors(gl)):
             left_red = tuple(v // k1 for v in left_vals)
             for k2 in reversed(divisors(gr)):
-                if gcd(k1, k2) != 1:
-                    continue
                 right_red = tuple(v // k2 for v in right_vals)
-                if not is_member(k1, right_red):
-                    continue
-                if not is_member(k2, left_red):
-                    continue
-                yield left, right, k1, k2, left_red, right_red
+                if is_member(k1, right_red) and is_member(k2, left_red):
+                    yield left, right, k1, k2, left_red, right_red
 
 
 def _check_size(entries: tuple[int, ...]) -> None:
@@ -133,16 +133,30 @@ def _check_size(entries: tuple[int, ...]) -> None:
         )
 
 
-def enumerate_splits(gens: GeneratorSequence) -> list[DelormeSplit]:
-    """All valid splits of a sequence with at least three entries.
+def _normalized(gens: Sequence[int] | GeneratorSequence) -> tuple[int, ...]:
+    """The entries of gens with their gcd divided out, within the caps.
 
-    The entries are not normalized, since the divisor loops run on them, and
-    the decider's caps (_check_size) apply to them as given.
+    A plain sequence is read as a GeneratorSequence, which checks it.  Raises
+    CapExceededError when the normalized entries fail _check_size.
+    """
+    seq = gens if isinstance(gens, GeneratorSequence) else GeneratorSequence(gens)
+    entries = normalize(seq)[1].gens
+    _check_size(entries)
+    return entries
+
+
+def enumerate_splits(gens: Sequence[int] | GeneratorSequence) -> list[DelormeSplit]:
+    """All valid splits of the gcd-normalized form of a sequence with at
+    least three entries, in canonical order.
+
+    These are the splits the decider searches, in the frame its certificates
+    use: c*g has the splits of g.  A plain sequence is read as a
+    GeneratorSequence.  Raises CapExceededError as is_complete_intersection
+    does.
     """
     if len(gens) < 3:
         raise ValueError("splits are only enumerated for sequences of length >= 3")
-    _check_size(gens.gens)
-    return [DelormeSplit(*split) for split in _iter_splits(gens.gens)]
+    return [DelormeSplit(*split) for split in _iter_splits(_normalized(gens))]
 
 
 # verdict cache keyed by the normalized entry tuple
@@ -162,27 +176,24 @@ def is_complete_intersection(gens: Sequence[int] | GeneratorSequence) -> CICerti
     """Certificate if the sequence is a complete intersection, else None.
 
     A plain sequence is read as a GeneratorSequence, which checks it.  The
-    overall gcd is divided out first. Among all valid splits in
-    canonical order, the first whose two reduced parts are recursively
-    complete intersections becomes the certificate. Verdicts are memoized
-    by the normalized sequence.  Raises CapExceededError, before any search,
-    when generators x largest entry of the normalized sequence exceeds
-    MAX_DECIDE_SIZE or it has more than MAX_DECIDE_GENS generators.
+    overall gcd is divided out first. Among the valid splits of the
+    normalized sequence (enumerate_splits) in canonical order, the first
+    whose two reduced parts are recursively complete intersections becomes
+    the certificate. Verdicts are memoized by the normalized sequence.
+    Raises CapExceededError, before any search, when generators x largest
+    entry of the normalized sequence exceeds MAX_DECIDE_SIZE or it has more
+    than MAX_DECIDE_GENS generators.
     """
-    seq = gens if isinstance(gens, GeneratorSequence) else GeneratorSequence(gens)
-    _, reduced = normalize(seq)
-    _check_size(reduced.gens)
-    return _decide(reduced.gens)
+    return _decide(_normalized(gens))
 
 
 def _decide(entries: tuple[int, ...]) -> CICertificate | None:
     if entries in _CI_MEMO:
         return _CI_MEMO[entries]
     if len(entries) <= 2:
-        cert: CICertificate | None = Leaf(entries)
-        _CI_MEMO[entries] = cert
-        return cert
-    cert = None
+        _CI_MEMO[entries] = Leaf(entries)
+        return _CI_MEMO[entries]
+    cert: CICertificate | None = None
     # the split object and witnesses are built for the certifying split only
     for split in _iter_splits(entries):
         _, _, k1, k2, left_red, right_red = split

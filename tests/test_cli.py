@@ -1,12 +1,16 @@
 import argparse
 import ast
+import contextlib
 import importlib
+import io
 import json
 import re
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cishift import certificates, shiftscan, toricoracle
 from cishift.cli import build_parser, main
@@ -262,6 +266,115 @@ def test_scan_flags_rejected_elsewhere(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main([*argv, flag, "2"])
     assert exc.value.code == 2
+
+
+_HUGE = 1 << 40
+# tokens that are no integer; as a sequence entry, nor a blank one
+_WORD = st.sampled_from(["x", "1.5", "1e3", "0x10", "one"]) | st.text("abcxyz.", min_size=1, max_size=4)
+_BAD_INT = _WORD | st.just("")
+
+
+@st.composite
+def _malformed_literal(draw):
+    """A sequence literal that parse_gens and parse_base refuse: empty, or
+    with a non-numeric, zero, negative, repeated or decreasing entry."""
+    entries = sorted(draw(st.sets(st.integers(1, 50), max_size=4)))
+    defect = draw(st.sampled_from(["empty", "word", "zero", "negative", "repeated", "decreasing"]))
+    if defect == "empty":
+        return draw(st.sampled_from(["", ",", " , ,"]))
+    if defect == "repeated":
+        entries = sorted(entries + [draw(st.integers(1, 60))] * 2)
+    elif defect == "decreasing":
+        entries = sorted(draw(st.sets(st.integers(1, 1 << 64), min_size=2, max_size=4)), reverse=True)
+    else:
+        bad = {"word": _WORD, "zero": st.just(0), "negative": st.integers(-(1 << 64), -1)}[defect]
+        entries.insert(draw(st.integers(0, len(entries))), draw(bad))
+    return ",".join(map(str, entries))
+
+
+@st.composite
+def _huge_literal(draw):
+    """An increasing literal from 2^40 up holding x and x + 1, so that its
+    gcd is 1 and every shift of it, decided or masked, is past a cap."""
+    x = draw(st.integers(_HUGE, 1 << 64))
+    rest = draw(st.sets(st.integers(2, _HUGE), max_size=3))
+    return ",".join(map(str, sorted({x, x + 1} | {x + d for d in rest})))
+
+
+def _positional(filler, hostile):
+    return filler.map(lambda v: [v]), hostile.map(lambda v: [v])
+
+
+def _option(flag, hostile, filler=()):
+    """Left out or given a valid value, and given a hostile value."""
+    return st.sampled_from([[]] + [[flag, v] for v in filler]), hostile.map(lambda v: [flag, v])
+
+
+def _format(valid):
+    bad = {"", "xml", "JSON", "text,json"} | ({"text", "json", "csv"} - set(valid))
+    return _option("--format", st.sampled_from(sorted(bad)), valid)
+
+
+_LITERAL = _malformed_literal() | _huge_literal()
+_SEQUENCE = _positional(st.sampled_from(["4,6,9", "3,4,5", "28,31,36,48"]), _LITERAL)
+_BASE = _positional(st.sampled_from(["11,16,28", "3,8,20", "2,3"]), _LITERAL)
+_WINDOW = (
+    st.just(["1", "30"]),
+    st.one_of(
+        st.tuples(_BAD_INT | st.integers(-(1 << 64), 0).map(str), st.just("30")),
+        st.tuples(st.just("1"), _BAD_INT | st.integers(-(1 << 64), 0).map(str)),
+        # decreasing, and past the scan budget
+        st.tuples(st.integers(2, 1 << 64), st.integers(1, 1 << 64)).filter(lambda w: w[0] > w[1]),
+        st.tuples(st.integers(1, 30), st.integers(_HUGE, 1 << 64)),
+    ).map(lambda w: [str(w[0]), str(w[1])]),
+)
+_CAP = _option("--cap", _BAD_INT | st.integers(-(1 << 64), 0).map(str))
+_THRESHOLD = _option(
+    "--threshold",
+    _BAD_INT | st.integers(-(1 << 64), -1).map(str) | st.integers(_HUGE, 1 << 64).map(str),
+    filler=["0"],
+)
+# a valid seed would run the whole suite, so verify-paper gets flag errors only
+_SEED = _option("--seed", _BAD_INT)
+_ALL_FORMATS = ("text", "json", "csv")
+_ARGUMENTS = {
+    "analyze": [_SEQUENCE, _format(_ALL_FORMATS)],
+    "scan": [_BASE, _WINDOW, _CAP, _format(_ALL_FORMATS)],
+    "report": [_BASE, _THRESHOLD, _CAP, _format(_ALL_FORMATS)],
+    "oracle": [_SEQUENCE, _format(_ALL_FORMATS)],
+    "compare": [_SEQUENCE, _format(("text", "json"))],
+    "verify-paper": [_SEED, _format(("text", "json"))],
+}
+
+
+@st.composite
+def _hostile_argv(draw, command):
+    """argv for command with at least one argument malformed or past a cap;
+    each of the others is valid, or hostile one time in four, so that most
+    examples reach the command past argparse."""
+    arguments = _ARGUMENTS[command]
+    chosen = draw(st.integers(0, len(arguments) - 1))
+    argv = [command]
+    for i, (filler, hostile) in enumerate(arguments):
+        argv += draw(hostile if i == chosen else draw(st.sampled_from([filler] * 3 + [hostile])))
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_ARGUMENTS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hostile_argv_exits_two_or_three_fast(command, data):
+    argv = data.draw(_hostile_argv(command))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (2, 3), (argv, code, err.getvalue())
+    assert time.perf_counter() - start < 2.0, argv
+    assert "Traceback" not in err.getvalue()
 
 
 class TestCompare:

@@ -63,24 +63,29 @@ def reference_splits(gens):
 class TestEnumerateSplits:
     @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(st.integers(1, 30), min_size=3, max_size=6, unique=True)
+        st.lists(st.integers(1, 30), min_size=3, max_size=7, unique=True)
         .map(lambda xs: tuple(sorted(xs)))
         .filter(lambda g: gcd(*g) == 1),
-        st.sampled_from([1, 2, 3, 4, 5, 6]),
     )
-    def test_matches_unskipped_reference(self, gens, factor):
-        # factor 1 keeps sides of gcd 1, where bipartitions get skipped;
-        # factors 2-6 give every side a common factor and so many divisor pairs
-        scaled = tuple(factor * g for g in gens)
-        splits = [
+    def test_matches_unskipped_reference(self, gens):
+        # the splits of the gcd-normalized sequence: on gcd-1 input they are
+        # the reference's, and each has k1 = gcd(left), k2 = gcd(right)
+        splits = enumerate_splits(GeneratorSequence(gens))
+        assert [
             (s.left_indices, s.right_indices, s.k1, s.k2, s.left_reduced, s.right_reduced)
-            for s in enumerate_splits(GeneratorSequence(scaled))
-        ]
-        assert splits == reference_splits(scaled)
+            for s in splits
+        ] == reference_splits(gens)
+        for s in splits:
+            assert s.k1 == gcd(*(gens[i] for i in s.left_indices))
+            assert s.k2 == gcd(*(gens[i] for i in s.right_indices))
+        # a multiple of the sequence has the splits of the sequence itself
+        for c in range(2, 7):
+            assert enumerate_splits(GeneratorSequence(tuple(c * g for g in gens))) == splits
 
     @settings(max_examples=200, deadline=None)
     @given(
-        # the scaled inputs of test_matches_unskipped_reference
+        # raw inputs, not normalized: factors 2-6 give every side a common
+        # factor and so many divisor pairs
         st.lists(st.integers(1, 30), min_size=3, max_size=6, unique=True)
         .map(lambda xs: tuple(sorted(xs)))
         .filter(lambda g: gcd(*g) == 1),
@@ -99,7 +104,7 @@ class TestEnumerateSplits:
 
     def test_oversized_input_refused_fast(self):
         # divisors(10**20 + 1) alone would take 10^10 trial divisions; the
-        # decider's size cap applies to the entries as given
+        # decider's size cap applies to the normalized entries
         start = time.perf_counter()
         with pytest.raises(CapExceededError, match="decider"):
             enumerate_splits(GeneratorSequence((6, 10, 10**20 + 1)))
@@ -122,6 +127,12 @@ class TestEnumerateSplits:
             and s.left_reduced == (1,) and s.right_reduced == (7, 9, 12)
         ]
         assert match
+
+    def test_plain_sequence(self):
+        assert enumerate_splits((4, 6, 9)) == enumerate_splits(GeneratorSequence((4, 6, 9)))
+        assert enumerate_splits([8, 12, 18]) == enumerate_splits((4, 6, 9))
+        with pytest.raises(ValueError):
+            enumerate_splits((4, 4, 9))
 
     def test_345_has_no_splits(self):
         assert enumerate_splits(GeneratorSequence((3, 4, 5))) == []
@@ -168,9 +179,8 @@ class TestBipartitions:
 
     def test_side_index_cache_bounded_and_cleared(self):
         clear_caches()
-        # only the singletons of 2*(100..113) and their mirrors meet the
-        # gluing-degree bound, so 28 of its 2^14 - 2 bipartitions read their
-        # sides' indices
+        # 2*(100..113) normalizes to 100..113, where the gluing-degree bound
+        # lets 26 of the 2^14 - 2 bipartitions read their sides' indices
         assert enumerate_splits(GeneratorSequence(tuple(range(200, 228, 2)))) == []
         info = _indices.cache_info()
         assert 0 < info.currsize <= info.maxsize

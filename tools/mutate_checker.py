@@ -1,22 +1,32 @@
-"""Mutation gate for the certificate checker in ``src/cishift/certificates.py``.
+"""Mutation gate for the certificate checker in ``src/cishift/certificates.py``
+and for the split search in ``src/cishift/delorme.py``.
 
-Each mutant is one single-point change to a checker function: a comparison
+Each mutant is one single-point change to a target function: a comparison
 swapped with its partner (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and
 ``!=``, ``is`` and ``is not``, ``in`` and ``not in``), one operand dropped
 from an ``and``, one ``not`` removed, or one integer constant moved by +1 or
--1.  For each mutant the package is copied to a temporary directory with the
-mutated module, and the verifier and parser tests run against it:
+-1 (decorator arguments included).  For each mutant the package is copied to
+a temporary directory with the mutated module, and the tests that guard the
+targets run against it.  RUNS lists the two runs, each a module, its target
+functions, the ``-k`` selection within tests/test_delorme.py and its
+allowlist:
 
-    pytest tests/test_delorme.py -k "Verifier or Serialization or Malformed"
+    checker  verify_certificate and the parser helpers;
+             -k "Verifier or Serialization or Malformed"
+    search   _iter_splits and _indices;
+             -k "EnumerateSplits or Bipartitions or Decision"
 
-A mutant survives when those tests still pass.  ALLOWLIST names the
-survivors that are equivalent to the checker, each with the reason; any
+A mutant survives when those tests still pass.  The run's allowlist names
+the survivors that are equivalent to the target, each with the reason; any
 other survivor makes the tool exit 1.  It exits 2 when the unmutated module,
 written back from its syntax tree, already fails the tests.  A mutant takes
-about 2.5 s on one core, the 68 of them under 3 minutes; the tool is not
-part of the test suite.
+about 2.5-5 s on one core: the 68 checker mutants about 3 minutes, the 17
+search mutants under 2; the tool is not part of the test suite.
 
-Usage: python3 tools/mutate_checker.py   (from the root of a source checkout)
+Usage (from the root of a source checkout):
+
+    python3 tools/mutate_checker.py            # the checker run
+    python3 tools/mutate_checker.py search
 """
 
 from __future__ import annotations
@@ -30,18 +40,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULE = ROOT / "src" / "cishift" / "certificates.py"
 TESTS = ROOT / "tests" / "test_delorme.py"
-SELECT = "Verifier or Serialization or Malformed"
-TARGETS = (
-    "verify_certificate", "_verify", "_is_witness",
-    "_is_increasing", "_int_field", "_ints_field", "_side_field", "_from_dict",
-)
 TIMEOUT_S = 300
 
-# equivalent mutants, by the label this tool prints, with the reason each
-# cannot change a verdict
-ALLOWLIST = {
+# equivalent mutants of each run, by the label this tool prints, with the
+# reason each cannot change a result
+_CHECKER_ALLOWLIST = {
     "_verify: drop `k1 >= 1`":
         "every node's entries are positive, so a non-empty left side forces k1 != 0,"
         " and k1 < 0 makes left_reduced negative, where the k2 witness sums to at"
@@ -76,14 +80,40 @@ ALLOWLIST = {
         "the gcd of positive entries is never 0, and dividing by a gcd of 1"
         " yields the same entries; the test only skips that copy",
 }
+_SEARCH_ALLOWLIST = {
+    "_indices: `lru_cache(maxsize=4096)` -> `lru_cache(maxsize=4097)`":
+        "the cache size bounds memory only; every mask maps to the same tuple",
+    "_indices: `lru_cache(maxsize=4096)` -> `lru_cache(maxsize=4095)`":
+        "the cache size bounds memory only; every mask maps to the same tuple",
+    "_iter_splits: `range(1, full)` -> `range(0, full)`":
+        "mask 0 has gcd 0, so gl * gr = 0 is below every entry and the"
+        " bipartition is skipped before its indices are read",
+}
+# run name -> (module, target functions, -k selection, allowlist)
+RUNS = {
+    "checker": (
+        ROOT / "src" / "cishift" / "certificates.py",
+        ("verify_certificate", "_verify", "_is_witness", "_is_increasing",
+         "_int_field", "_ints_field", "_side_field", "_from_dict"),
+        "Verifier or Serialization or Malformed",
+        _CHECKER_ALLOWLIST,
+    ),
+    "search": (
+        ROOT / "src" / "cishift" / "delorme.py",
+        ("_iter_splits", "_indices"),
+        "EnumerateSplits or Bipartitions or Decision",
+        _SEARCH_ALLOWLIST,
+    ),
+}
 
 _PARTNER = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
     ast.In: ast.NotIn, ast.NotIn: ast.In,
 }
-# an integer constant is labelled by the smallest of these around it
-_CONTEXT = (ast.Compare, ast.Call, ast.Subscript, ast.BinOp, ast.UnaryOp)
+# an integer constant is labelled by the smallest of these around it, or
+# else by its statement
+_CONTEXT = (ast.Compare, ast.Call, ast.Subscript, ast.BinOp, ast.UnaryOp, ast.stmt)
 
 
 def _functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
@@ -145,19 +175,19 @@ def _mutate(source: str, name: str, index: int, change: str) -> tuple[str, str]:
     return ast.unparse(tree), f"{name}: `{before}` -> `{ast.unparse(target)}`"
 
 
-def _passes(module_source: str) -> bool | None:
+def _passes(module: Path, module_source: str, select: str) -> bool | None:
     """True when the selected tests pass on a copy with this module source,
     False when they fail, None when they run past TIMEOUT_S."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         shutil.copytree(ROOT / "src" / "cishift", work / "src" / "cishift",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        (work / "src" / "cishift" / "certificates.py").write_text(module_source)
+        (work / module.relative_to(ROOT)).write_text(module_source)
         (work / "tests").mkdir()
         shutil.copy(TESTS, work / "tests" / TESTS.name)
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
         cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               "--hypothesis-seed=0", f"tests/{TESTS.name}", "-k", SELECT]
+               "--hypothesis-seed=0", f"tests/{TESTS.name}", "-k", select]
         try:
             done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
@@ -165,28 +195,33 @@ def _passes(module_source: str) -> bool | None:
         return done.returncode == 0
 
 
-def main() -> int:
-    source = MODULE.read_text()
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) > 1 or args and args[0] not in RUNS:
+        print(f"usage: mutate_checker.py [{' | '.join(RUNS)}]", file=sys.stderr)
+        return 2
+    module, targets, select, allowlist = RUNS[args[0] if args else "checker"]
+    source = module.read_text()
     tree = ast.parse(source)
     functions = _functions(tree)
-    if not _passes(ast.unparse(tree)):
+    if not _passes(module, ast.unparse(tree), select):
         print("the unmutated module fails the selected tests", file=sys.stderr)
         return 2
     survivors, seen = [], {}
-    for name in TARGETS:
+    for name in targets:
         for index, change in _sites(functions[name]):
             mutated, label = _mutate(source, name, index, change)
             seen[label] = seen.get(label, 0) + 1
             if seen[label] > 1:
                 label += f" (#{seen[label]})"
-            result = _passes(mutated)
+            result = _passes(module, mutated, select)
             verdict = {True: "SURVIVED", False: "killed", None: "killed (timeout)"}[result]
-            if result and label in ALLOWLIST:
+            if result and label in allowlist:
                 verdict = "survived, allowlisted"
             elif result:
                 survivors.append(label)
             print(f"{verdict:22} {label}", flush=True)
-    for label in ALLOWLIST.keys() - seen:
+    for label in sorted(allowlist.keys() - seen):
         print(f"note: allowlisted mutant no longer generated: {label}")
     print(f"{sum(seen.values())} mutants, {len(survivors)} unexplained survivors")
     return 1 if survivors else 0
